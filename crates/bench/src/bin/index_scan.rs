@@ -162,7 +162,7 @@ fn scan(
     matrix: &CompatibilityMatrix,
     plan: Option<&SkipPlan>,
 ) -> Vec<f64> {
-    try_db_match_many_kernel_indexed(probes, db, matrix, 1, MatchKernel::Trie, plan)
+    try_db_match_many_kernel_indexed(probes, db, matrix, 1, MatchKernel::default(), plan)
         .expect("in-memory scan cannot fail")
 }
 

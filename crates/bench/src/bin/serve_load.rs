@@ -4,7 +4,7 @@
 //! `POST /v1/classify` from `concurrency` loopback client threads, over a
 //! grid of model sizes (pattern counts) × client concurrency × connection
 //! mode. Every request goes through the full production path — TCP accept,
-//! HTTP parsing, admission, the batched trie kernel, JSON response — so the
+//! HTTP parsing, admission, the columnar match kernel, JSON response — so the
 //! numbers are end-to-end request throughput, not kernel microbenchmarks.
 //!
 //! `--mode close` opens a fresh connection per request (the pre-keep-alive

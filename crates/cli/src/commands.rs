@@ -775,16 +775,17 @@ fn positive_secs(opts: &Opts, name: &str, default: f64) -> CliResult<std::time::
     Ok(std::time::Duration::from_secs_f64(secs))
 }
 
-/// Parses `--kernel trie|naive|simd` into a [`MatchKernel`] (default:
-/// trie — the batched candidate-trie kernel; naive is the per-pattern
-/// reference oracle, bit-identical but slower; simd is the columnar
-/// AVX2 kernel, held to the trie's values by a zero-ULP contract, with a
-/// portable scalar path on hosts without AVX2+FMA or under
-/// `NOISEMINE_FORCE_SCALAR=1`).
+/// Parses the `--kernel naive|simd` diagnostic override into a
+/// [`MatchKernel`], falling back to [`MatchKernel::default`] (simd, the
+/// columnar kernel, with a portable scalar path on hosts without AVX2+FMA
+/// or under `NOISEMINE_FORCE_SCALAR=1`; naive is the per-pattern reference
+/// oracle, bit-identical but slower).
 fn parse_kernel(opts: &Opts) -> CliResult<MatchKernel> {
-    let name = opts.get_or("kernel", "trie");
+    let Some(name) = opts.get("kernel") else {
+        return Ok(MatchKernel::default());
+    };
     MatchKernel::parse(name)
-        .ok_or_else(|| format!("unknown --kernel {name:?}; use trie, naive, or simd").into())
+        .ok_or_else(|| format!("unknown --kernel {name:?}; use naive or simd").into())
 }
 
 /// Parses `--index off|build|use` into an [`IndexMode`] (default: off).

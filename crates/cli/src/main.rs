@@ -8,19 +8,19 @@
 //! noisemine mine    --db db.txt|db.nmdb [--matrix m.txt] [--normalize] [--min-match 0.1]
 //!                   [--algorithm three-phase|levelwise|depth-first|max-miner] [--top k]
 //!                   [--max-gap 0] [--max-len 16] [--sample N] [--strategy border|levelwise]
-//!                   [--threads 0] [--kernel trie|naive|simd] [--index off|build|use]
+//!                   [--threads 0] [--kernel naive|simd] [--index off|build|use]
 //!                   [--metrics-out m.json]
 //!                   [--on-fault strict|retry[:N]|quarantine]   (.nmdb inputs)
 //! noisemine stream  --db db.txt [--matrix m.txt] [--checkpoint state.ckpt]
 //!                   [--chunk 1000] [--min-match 0.1] [--sample 1000] [--threads 0]
-//!                   [--kernel trie|naive|simd] [--metrics-out m.json]
+//!                   [--kernel naive|simd] [--metrics-out m.json]
 //! noisemine convert --db db.txt --out db.nmdb [--matrix m.txt] [--index build]
 //! noisemine serve   [--model [tenant=]model.nmmodel[,t2=m2.nmmodel]] [--catalog dir]
 //!                   [--catalog-interval 2] [--drift] [--drift-interval 1]
 //!                   [--drift-min-seqs 256] [--remine-timeout 30] [--remine-backoff 1]
 //!                   [--remine-backoff-max 60] [--breaker-threshold 5]
 //!                   [--breaker-cooldown 30] [--addr 127.0.0.1:7700]
-//!                   [--threads 4] [--kernel trie|naive|simd] [--tenant-quota 0]
+//!                   [--threads 4] [--kernel naive|simd] [--tenant-quota 0]
 //!                   [--max-requests-per-conn 0]
 //!                   [--idle-timeout 10] [--metrics-out m.json]
 //! ```
@@ -44,7 +44,7 @@ USAGE:
                     [--algorithm three-phase|levelwise|depth-first|max-miner]
                     [--max-gap 0] [--max-len 16] [--sample N] [--delta 0.001]
                     [--counters 100000] [--strategy border|levelwise]
-                    [--seed 2002] [--threads 0] [--kernel trie|naive|simd]
+                    [--seed 2002] [--threads 0] [--kernel naive|simd]
                     [--index off|build|use] [--limit 50] [--top k]
                     [--metrics-out m.json]
                     [--on-fault strict|retry[:N]|quarantine]
@@ -53,7 +53,7 @@ USAGE:
                     [--checkpoint state.ckpt] [--chunk 1000] [--min-match 0.1]
                     [--sample 1000] [--delta 0.001] [--counters 100000]
                     [--max-gap 0] [--max-len 16] [--strategy border|levelwise]
-                    [--seed 2002] [--threads 0] [--kernel trie|naive|simd]
+                    [--seed 2002] [--threads 0] [--kernel naive|simd]
                     [--limit 50] [--metrics-out m.json]
   noisemine learn   --truth clean.txt --observed noisy.txt --out m.txt [--lambda 0.1]
   noisemine convert --db db.txt --out db.nmdb [--matrix m.txt] [--index build]
@@ -66,7 +66,7 @@ USAGE:
                     [--drift-max-len 8] [--drift-max-gap 0]
                     [--drift-max-buffer 100000]
                     [--addr 127.0.0.1:7700] [--threads 4] [--tenant-quota 0]
-                    [--kernel trie|naive|simd]
+                    [--kernel naive|simd]
                     [--max-requests-per-conn 0] [--idle-timeout 10]
                     [--metrics-out m.json]
 
@@ -78,13 +78,13 @@ diagonal-normalized score matrix (match on the noise-free support scale).
 drift past the Chernoff bound, and persists engine state via --checkpoint so
 a later run over a grown file resumes from the tail. --threads sets the scan
 worker count for the three-phase miner (0 = auto); results are bit-identical
-at any thread count. --kernel picks the candidate evaluation kernel (trie =
-batched candidate-trie, the default; naive = per-pattern reference; simd =
-columnar AVX2 kernel, 8 windows per step, with a portable scalar path on
-hosts without AVX2+FMA or under NOISEMINE_FORCE_SCALAR=1) — all kernels
-produce identical values (simd is held to the trie by a zero-ULP contract),
-so this only affects speed. `serve --kernel` applies the same choice to
-/classify scoring. --index enables the
+at any thread count. --kernel is a diagnostic override of the candidate
+evaluation kernel (simd = columnar candidate-trie kernel, 8 windows per
+step, AVX2 with a portable scalar path on hosts without AVX2+FMA or under
+NOISEMINE_FORCE_SCALAR=1, the default; naive = per-pattern reference
+oracle) — both produce identical values (simd is held to naive by a
+zero-ULP contract), so this only affects speed. `serve --kernel` applies
+the same choice to /classify scoring. --index enables the
 positional symbol index: phase-3 probe scans then skip sequences that
 provably match every probe at 0.0 (output stays bit-identical). For .nmdb
 databases, build writes an NMIDX sidecar next to the file and use loads it

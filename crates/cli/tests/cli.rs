@@ -114,12 +114,12 @@ fn gen_stats_match_mine_round_trip() {
 }
 
 #[test]
-fn kernel_simd_mines_identically_to_trie() {
-    let db = tmp("kernel_simd_db.txt");
-    let matrix = tmp("kernel_simd_m.txt");
+fn default_kernel_mines_identically_to_naive() {
+    let db = tmp("kernel_default_db.txt");
+    let matrix = tmp("kernel_default_m.txt");
     generate(&db, &matrix);
-    let mine_with = |kernel: &str| {
-        let out = noisemine(&[
+    let mine_with = |kernel: Option<&str>| {
+        let mut args = vec![
             "mine",
             "--db",
             db.to_str().unwrap(),
@@ -132,21 +132,30 @@ fn kernel_simd_mines_identically_to_trie() {
             "6",
             "--limit",
             "2000",
-            "--kernel",
-            kernel,
-        ]);
-        assert!(out.status.success(), "--kernel {kernel}: {}", stderr(&out));
+        ];
+        if let Some(kernel) = kernel {
+            args.extend(["--kernel", kernel]);
+        }
+        let out = noisemine(&args);
+        assert!(
+            out.status.success(),
+            "--kernel {kernel:?}: {}",
+            stderr(&out)
+        );
         stdout(&out)
     };
-    let trie = mine_with("trie");
-    let simd = mine_with("simd");
-    assert!(trie.contains("AMTKY"), "{trie}");
-    assert_eq!(simd, trie, "--kernel simd output diverged from trie");
+    let default = mine_with(None);
+    let naive = mine_with(Some("naive"));
+    assert!(default.contains("AMTKY"), "{default}");
+    assert_eq!(
+        default, naive,
+        "default kernel output diverged from --kernel naive"
+    );
 
-    let out = noisemine(&["mine", "--db", db.to_str().unwrap(), "--kernel", "avx9000"]);
+    let out = noisemine(&["mine", "--db", db.to_str().unwrap(), "--kernel", "trie"]);
     assert!(!out.status.success());
     let err = stderr(&out);
-    assert!(err.contains("use trie, naive, or simd"), "{err}");
+    assert!(err.contains("use naive or simd"), "{err}");
 
     std::fs::remove_file(&db).ok();
     std::fs::remove_file(&matrix).ok();

@@ -76,7 +76,7 @@ pub use error::{Error, Result, ScanError, ScanErrorKind};
 pub use index::{IndexMode, SkipPlan, SymbolIndex, SymbolIndexBuilder};
 pub use lattice::Border;
 pub use match_kernel::simd::{simd_active, SimdScratch, FORCE_SCALAR_ENV, SIMD_MAX_ULP};
-pub use match_kernel::{CandidateTrie, MatchKernel, TrieScratch};
+pub use match_kernel::{CandidateTrie, MatchKernel};
 pub use matching::{MatchMetric, PatternMetric, SequenceScan, SupportMetric};
 pub use matrix::CompatibilityMatrix;
 pub use miner::{mine, mine_indexed, FrequentPattern, MineOutcome, MineStats, MinerConfig};

@@ -11,8 +11,9 @@
 //! the right) almost all candidates in a level share long prefixes.
 //!
 //! [`CandidateTrie`] stores an arbitrary batch of patterns keyed by shared
-//! prefixes, and [`CandidateTrie::batch_sequence_match`] walks each window
-//! of a sequence **once**, maintaining the incremental prefix product down
+//! prefixes, flattened into a preorder array. The production kernel
+//! ([`simd`], [`MatchKernel::Simd`]) walks that array once per *eight*
+//! windows of a sequence, maintaining the incremental prefix products down
 //! the trie so a prefix shared by `k` candidates is multiplied once instead
 //! of `k` times.
 //!
@@ -23,66 +24,60 @@
 //! non-increasing — the monotonicity behind Claim 3.1's Apriori property,
 //! reused here at window granularity. Each trie node carries a *floor*: the
 //! minimum best-window-so-far over every candidate in its subtree. When the
-//! running product falls to (or below) the floor, no candidate below can
-//! improve on a window it has already seen, and the entire subtree is cut
-//! for this window. This is exactly the per-pattern abandonment of
+//! running products fall to (or below) the floor, no candidate below can
+//! improve on a window it has already seen, and the entire subtree is cut.
+//! This is exactly the per-pattern abandonment of
 //! [`sequence_match`](crate::matching::sequence_match) lifted to subtrees,
 //! and — like it — the cut is *exact*, never heuristic: a pruned window
 //! could only have produced a value `<=` an already-recorded one.
 //!
 //! Because a pattern's product is multiplied in the same left-to-right
-//! order as the naive scan and the window loop visits windows in the same
-//! order, every per-pattern result is **bit-identical** to
-//! `sequence_match` (floating-point multiplication order and max order are
-//! preserved, not merely mathematically equivalent). The naive path is kept
-//! as a reference oracle, selectable with [`MatchKernel::Naive`].
+//! order as the naive scan, every per-pattern result is **bit-identical**
+//! to `sequence_match` (floating-point multiplication order is preserved,
+//! and the max over windows is order-independent for the non-negative
+//! values the metric produces). The naive path is kept as the reference
+//! oracle, selectable with [`MatchKernel::Naive`].
 //!
 //! # Observability
 //!
 //! With the [`noisemine_obs`] registry enabled, the kernel counts trie
-//! nodes expanded (`core_kernel_nodes_visited_total`) and subtree cuts
-//! (`core_kernel_prunes_total`); the batch width of each kernel-evaluated
-//! scan is tracked by `core_kernel_patterns_per_scan`. See
+//! node visits (`core_kernel_nodes_visited_total`, one per 8-window visit)
+//! and subtree cuts (`core_kernel_prunes_total`); the batch width of each
+//! kernel-evaluated scan is tracked by `core_kernel_patterns_per_scan`. See
 //! `docs/OBSERVABILITY.md`.
 
 pub mod simd;
 
 use serde::{Deserialize, Serialize};
 
-use crate::alphabet::Symbol;
-use crate::matrix::CompatibilityMatrix;
 use crate::pattern::{Pattern, PatternElem};
 
 /// Which implementation evaluates multi-pattern match batches.
 ///
-/// All kernels produce the same values on every input (asserted by the
-/// property suites and the `match_kernel` bench): `Naive` and `Trie` are
-/// bit-identical by construction, and `Simd` preserves the same
-/// multiplication order per window, so its results agree within
+/// Both kernels produce the same values on every input (asserted by the
+/// property suites and the `match_kernel` bench): `Simd` preserves the
+/// naive per-window multiplication order, so its results agree within
 /// [`simd::SIMD_MAX_ULP`] (currently zero — see `simd` module docs). The
-/// naive path is retained as a reference oracle and for ablation
-/// benchmarks.
+/// naive path is retained as the reference oracle and as a diagnostic
+/// override.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum MatchKernel {
     /// Evaluate each pattern independently with
     /// [`sequence_match`](crate::matching::sequence_match).
     Naive,
-    /// Batched candidate-trie kernel: one window walk per sequence,
-    /// shared-prefix products, subtree pruning.
+    /// Columnar candidate-trie kernel: 8 sequence windows per vector lane
+    /// group, shared-prefix products, subtree pruning, matrix columns
+    /// gathered into per-symbol stripes; AVX2 on capable x86-64 hosts with
+    /// a portable scalar path elsewhere (see [`simd`]).
     #[default]
-    Trie,
-    /// Columnar kernel: 8 sequence windows per vector lane group, matrix
-    /// columns gathered into per-symbol stripes, AVX2 on capable x86-64
-    /// hosts with a portable scalar fallback (see [`simd`]).
     Simd,
 }
 
 impl MatchKernel {
-    /// Parses a kernel name (`"trie"` / `"naive"` / `"simd"`), as accepted
-    /// by the CLI `--kernel` flag.
+    /// Parses a kernel name (`"naive"` / `"simd"`), as accepted by the CLI
+    /// `--kernel` flag.
     pub fn parse(name: &str) -> Option<Self> {
         match name {
-            "trie" => Some(Self::Trie),
             "naive" => Some(Self::Naive),
             "simd" => Some(Self::Simd),
             _ => None,
@@ -93,7 +88,6 @@ impl MatchKernel {
     pub fn name(self) -> &'static str {
         match self {
             Self::Naive => "naive",
-            Self::Trie => "trie",
             Self::Simd => "simd",
         }
     }
@@ -108,10 +102,9 @@ const ANY_ELEM: u32 = u32::MAX;
 /// Sentinel stripe index: node consumes the eternal symbol (no stripe).
 const NO_STRIPE: u32 = u32::MAX;
 
-/// One trie node, laid out for the window walk: the element it consumes,
-/// its depth (window offset), its parent (for floor propagation), an
-/// optional terminal pattern index, and a contiguous child range in
-/// [`CandidateTrie::children`].
+/// One trie node: the element it consumes, its depth (window offset), its
+/// parent (for floor propagation), an optional terminal pattern index, and
+/// a contiguous child range in [`CandidateTrie::children`].
 #[derive(Debug, Clone)]
 struct TrieNode {
     /// Concrete symbol id, or [`ANY_ELEM`] for `*`.
@@ -126,20 +119,22 @@ struct TrieNode {
     child_start: u32,
     /// End (exclusive) of the child range in `children`.
     child_end: u32,
+    /// Most slots an ancestor floor walk starting here can touch: the sum
+    /// of `1 + children` over this node and every ancestor. The columnar
+    /// kernel weighs it against a whole-trie floor rebuild.
+    walk_cost: u64,
 }
 
 /// A batch of candidate patterns stored as a prefix trie.
 ///
 /// The trie is immutable after construction and holds no per-evaluation
 /// state, so one trie can be shared by any number of worker threads; each
-/// worker brings its own [`TrieScratch`].
+/// worker brings its own [`SimdScratch`](simd::SimdScratch).
 #[derive(Debug, Clone)]
 pub struct CandidateTrie {
     nodes: Vec<TrieNode>,
     /// Flat child adjacency; each node owns `children[child_start..child_end]`.
     children: Vec<u32>,
-    /// Root nodes (depth 0), one per distinct leading element.
-    roots: Vec<u32>,
     /// `(duplicate, canonical)` pattern-index pairs: a duplicate pattern
     /// shares the canonical's terminal node and copies its result.
     dups: Vec<(u32, u32)>,
@@ -243,10 +238,16 @@ impl CandidateTrie {
 
         // Flatten the per-node child vectors into one contiguous array.
         let mut children = Vec::with_capacity(nodes.len().saturating_sub(roots.len()));
-        let mut flat = Vec::with_capacity(nodes.len());
+        let mut flat: Vec<TrieNode> = Vec::with_capacity(nodes.len());
         for n in &nodes {
             let child_start = children.len() as u32;
             children.extend_from_slice(&n.children);
+            // Parents are created before their children, so the parent's
+            // walk cost is already known.
+            let up = match n.parent {
+                NO_PARENT => 0,
+                p => flat[p as usize].walk_cost,
+            };
             flat.push(TrieNode {
                 elem: n.elem,
                 depth: n.depth,
@@ -254,6 +255,7 @@ impl CandidateTrie {
                 pattern: n.pattern,
                 child_start,
                 child_end: children.len() as u32,
+                walk_cost: up + 1 + n.children.len() as u64,
             });
         }
         // Columnar metadata: distinct concrete symbols (one compatibility
@@ -288,7 +290,6 @@ impl CandidateTrie {
         Self {
             nodes: flat,
             children,
-            roots,
             dups,
             patterns: patterns.len(),
             stripe_syms,
@@ -332,208 +333,14 @@ impl CandidateTrie {
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
     }
-
-    /// Allocates evaluation scratch sized for this trie. Reuse it across
-    /// sequences; sharing one trie across threads requires one scratch per
-    /// thread.
-    pub fn scratch(&self) -> TrieScratch {
-        TrieScratch {
-            best: vec![0.0; self.patterns],
-            floor: vec![0.0; self.nodes.len()],
-            stack: Vec::with_capacity(self.nodes.len().min(1024)),
-            nodes_visited: 0,
-            prunes: 0,
-        }
-    }
-
-    /// Computes `out[i] = sequence_match(patterns[i], sequence, matrix)`
-    /// for every pattern in the batch, walking each window of the sequence
-    /// once. Results are bit-identical to per-pattern
-    /// [`sequence_match`](crate::matching::sequence_match) (see the module
-    /// docs for the argument).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != self.num_patterns()` in debug builds; a
-    /// shorter `out` panics on indexing in all builds.
-    pub fn batch_sequence_match(
-        &self,
-        sequence: &[Symbol],
-        matrix: &CompatibilityMatrix,
-        scratch: &mut TrieScratch,
-        out: &mut [f64],
-    ) {
-        debug_assert_eq!(out.len(), self.patterns);
-        if self.patterns == 0 {
-            return;
-        }
-        scratch.best.fill(0.0);
-        scratch.floor.fill(0.0);
-        let n = sequence.len();
-        // Only distinct patterns own terminal nodes; duplicates alias a
-        // canonical slot after the walk and never saturate on their own.
-        let distinct = self.patterns - self.dups.len();
-        let mut saturated = 0usize;
-        let mut nodes_visited = 0u64;
-        let mut prunes = 0u64;
-
-        'windows: for w in 0..n {
-            scratch.stack.clear();
-            for &r in self.roots.iter().rev() {
-                scratch.stack.push((r, 1.0f64));
-            }
-            while let Some((ni, upstream)) = scratch.stack.pop() {
-                let node = &self.nodes[ni as usize];
-                let pos = w + node.depth as usize;
-                if pos >= n {
-                    continue; // window runs off the end of the sequence
-                }
-                nodes_visited += 1;
-                let product = if node.elem == ANY_ELEM {
-                    // The eternal symbol: C(*, x) = 1, product unchanged
-                    // (and, like the naive scan, no floor check here).
-                    upstream
-                } else {
-                    let p = upstream * matrix.get(Symbol(node.elem as u16), sequence[pos]);
-                    if p <= scratch.floor[ni as usize] {
-                        // Below every candidate's best in this subtree:
-                        // exact cut (the product can only shrink further).
-                        prunes += 1;
-                        continue;
-                    }
-                    p
-                };
-                if node.pattern != NO_PATTERN {
-                    let pi = node.pattern as usize;
-                    if product > scratch.best[pi] {
-                        if scratch.best[pi] < 1.0 && product >= 1.0 {
-                            saturated += 1;
-                        }
-                        scratch.best[pi] = product;
-                        self.raise_floors(ni, scratch);
-                    }
-                }
-                for &c in self.children[node.child_start as usize..node.child_end as usize]
-                    .iter()
-                    .rev()
-                {
-                    scratch.stack.push((c, product));
-                }
-            }
-            if saturated == distinct {
-                break 'windows; // every candidate already has a perfect match
-            }
-        }
-
-        out.copy_from_slice(&scratch.best);
-        for &(dup, canon) in &self.dups {
-            out[dup as usize] = out[canon as usize];
-        }
-        scratch.nodes_visited += nodes_visited;
-        scratch.prunes += prunes;
-        if noisemine_obs::enabled() {
-            crate::obs::kernel_nodes_visited().add(nodes_visited);
-            crate::obs::kernel_prunes().add(prunes);
-        }
-    }
-
-    /// Re-establishes the floor invariant (`floor[n]` = min best over
-    /// terminal descendants of `n`, including `n` itself) after `best` of
-    /// the terminal at `node` increased, walking toward the root until a
-    /// floor stops changing.
-    fn raise_floors(&self, node: u32, scratch: &mut TrieScratch) {
-        self.raise_floors_in(node, &scratch.best, &mut scratch.floor);
-    }
-
-    /// [`Self::raise_floors`] over caller-owned `best`/`floor` buffers —
-    /// shared by [`TrieScratch`] and the columnar kernel's
-    /// [`simd::SimdScratch`], whose floors obey the same invariant.
-    fn raise_floors_in(&self, node: u32, best: &[f64], floor: &mut [f64]) {
-        let mut ni = node;
-        loop {
-            let n = &self.nodes[ni as usize];
-            let mut f = if n.pattern == NO_PATTERN {
-                f64::INFINITY
-            } else {
-                best[n.pattern as usize]
-            };
-            for &c in &self.children[n.child_start as usize..n.child_end as usize] {
-                let cf = floor[c as usize];
-                if cf < f {
-                    f = cf;
-                }
-            }
-            if f == floor[ni as usize] {
-                break; // ancestors already see this minimum
-            }
-            floor[ni as usize] = f;
-            if n.parent == NO_PARENT {
-                break;
-            }
-            ni = n.parent;
-        }
-    }
-
-    /// [`Self::raise_floors_in`] that also records every node whose floor
-    /// left zero in `dirty`, so the columnar kernel can reset floors by
-    /// walking the dirty list instead of memsetting the whole node array
-    /// each sequence (the memset dominates once the walk itself is cheap).
-    fn raise_floors_in_tracked(
-        &self,
-        node: u32,
-        best: &[f64],
-        floor: &mut [f64],
-        dirty: &mut Vec<u32>,
-    ) {
-        let mut ni = node;
-        loop {
-            let n = &self.nodes[ni as usize];
-            let mut f = if n.pattern == NO_PATTERN {
-                f64::INFINITY
-            } else {
-                best[n.pattern as usize]
-            };
-            for &c in &self.children[n.child_start as usize..n.child_end as usize] {
-                let cf = floor[c as usize];
-                if cf < f {
-                    f = cf;
-                }
-            }
-            if f == floor[ni as usize] {
-                break; // ancestors already see this minimum
-            }
-            if floor[ni as usize] == 0.0 {
-                dirty.push(ni);
-            }
-            floor[ni as usize] = f;
-            if n.parent == NO_PARENT {
-                break;
-            }
-            ni = n.parent;
-        }
-    }
-}
-
-/// Per-thread evaluation state for one [`CandidateTrie`]: best-window
-/// values per pattern, per-node pruning floors, and the DFS stack. Also
-/// accumulates the kernel's work counters so callers can inspect pruning
-/// effectiveness without the metrics registry.
-#[derive(Debug, Clone)]
-pub struct TrieScratch {
-    best: Vec<f64>,
-    floor: Vec<f64>,
-    stack: Vec<(u32, f64)>,
-    /// Trie nodes expanded across all evaluations with this scratch.
-    pub nodes_visited: u64,
-    /// Subtrees cut by the floor across all evaluations with this scratch.
-    pub prunes: u64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alphabet::Alphabet;
+    use crate::alphabet::{Alphabet, Symbol};
     use crate::matching::sequence_match;
+    use crate::matrix::CompatibilityMatrix;
 
     fn pat(text: &str) -> Pattern {
         Pattern::parse(text, &Alphabet::synthetic(5)).unwrap()
@@ -549,70 +356,23 @@ mod tests {
         matrix: &CompatibilityMatrix,
     ) {
         let trie = CandidateTrie::new(patterns);
-        let mut scratch = trie.scratch();
+        let mut scratch = trie.simd_scratch();
         let mut out = vec![f64::NAN; patterns.len()];
-        trie.batch_sequence_match(sequence, matrix, &mut scratch, &mut out);
+        trie.batch_sequence_match_columnar(sequence, matrix, &mut scratch, &mut out);
         for (p, &got) in patterns.iter().zip(&out) {
             let want = sequence_match(p, sequence, matrix);
             assert!(
                 got == want,
-                "{p}: trie {got} != naive {want} (bit-identity broken)"
+                "{p}: kernel {got} != naive {want} (bit-identity broken)"
             );
         }
     }
 
     #[test]
-    fn agrees_with_naive_on_paper_database() {
-        let matrix = CompatibilityMatrix::paper_figure2();
-        let patterns = vec![
-            pat("d0"),
-            pat("d0 d1"),
-            pat("d0 d1 d1"),
-            pat("d0 * d1"),
-            pat("d1 d0"),
-            pat("d2 d0 d1"),
-            pat("d4 d4"),
-        ];
-        for text in ["d0 d1 d1 d2 d3 d0", "d2 d0 d1", "d0 d0", "d1"] {
-            assert_batch_matches_naive(&patterns, &seq(text), &matrix);
-        }
-    }
-
-    #[test]
-    fn empty_trie_is_a_no_op() {
+    fn empty_trie_has_no_nodes() {
         let trie = CandidateTrie::new(&[]);
-        let mut scratch = trie.scratch();
-        let mut out: Vec<f64> = Vec::new();
-        trie.batch_sequence_match(
-            &seq("d0 d1"),
-            &CompatibilityMatrix::paper_figure2(),
-            &mut scratch,
-            &mut out,
-        );
         assert_eq!(trie.num_patterns(), 0);
         assert_eq!(trie.num_nodes(), 0);
-    }
-
-    #[test]
-    fn pattern_longer_than_sequence_yields_zero() {
-        let matrix = CompatibilityMatrix::paper_figure2();
-        let patterns = vec![pat("d0 d1 d2 d3"), pat("d0")];
-        let s = seq("d0 d1");
-        assert_batch_matches_naive(&patterns, &s, &matrix);
-        let trie = CandidateTrie::new(&patterns);
-        let mut out = vec![1.0; 2];
-        trie.batch_sequence_match(&s, &matrix, &mut trie.scratch(), &mut out);
-        assert_eq!(out[0], 0.0);
-    }
-
-    #[test]
-    fn empty_sequence_yields_all_zero() {
-        let matrix = CompatibilityMatrix::paper_figure2();
-        let patterns = vec![pat("d0"), pat("d1 d2")];
-        let trie = CandidateTrie::new(&patterns);
-        let mut out = vec![1.0; 2];
-        trie.batch_sequence_match(&[], &matrix, &mut trie.scratch(), &mut out);
-        assert_eq!(out, vec![0.0, 0.0]);
     }
 
     #[test]
@@ -640,6 +400,18 @@ mod tests {
     }
 
     #[test]
+    fn walk_cost_sums_path_fan_out() {
+        // d0 -> d1 -> {d0, d1, d2, d3}: the root has 1 child, d1 has 4,
+        // each leaf none.
+        let patterns: Vec<Pattern> = (0..4u16)
+            .map(|i| Pattern::contiguous(&[Symbol(0), Symbol(1), Symbol(i)]).unwrap())
+            .collect();
+        let trie = CandidateTrie::new(&patterns);
+        let costs: Vec<u64> = trie.nodes.iter().map(|n| n.walk_cost).collect();
+        assert_eq!(costs, vec![2, 2 + 5, 8, 8, 8, 8]);
+    }
+
+    #[test]
     fn terminal_prefix_of_longer_pattern() {
         // d0 d1 is itself terminal AND the prefix of d0 d1 d2 — both must
         // report their own (different) match values.
@@ -660,49 +432,14 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_across_sequences_is_clean() {
-        let matrix = CompatibilityMatrix::paper_figure2();
-        let patterns = vec![pat("d0 d1"), pat("d1 d0"), pat("d2 d3 d1")];
-        let trie = CandidateTrie::new(&patterns);
-        let mut scratch = trie.scratch();
-        let mut out = vec![0.0; 3];
-        // A high-match sequence first: its bests/floors must not leak into
-        // the evaluation of the later, low-match sequence.
-        trie.batch_sequence_match(&seq("d0 d1 d0"), &matrix, &mut scratch, &mut out);
-        let s2 = seq("d4 d4");
-        trie.batch_sequence_match(&s2, &matrix, &mut scratch, &mut out);
-        for (p, &got) in patterns.iter().zip(&out) {
-            assert_eq!(got, sequence_match(p, &s2, &matrix), "{p}");
-        }
-        assert!(scratch.nodes_visited > 0);
-    }
-
-    #[test]
-    fn pruning_fires_on_repetitive_sequences() {
-        // A long repetitive sequence: after the first window establishes a
-        // best, later windows with equal products are cut at the floor.
-        let matrix = CompatibilityMatrix::paper_figure2();
-        let patterns = vec![pat("d1 d1"), pat("d1 d1 d1")];
-        let trie = CandidateTrie::new(&patterns);
-        let mut scratch = trie.scratch();
-        let mut out = vec![0.0; 2];
-        let s: Vec<Symbol> = std::iter::repeat_n(Symbol(1), 64).collect();
-        trie.batch_sequence_match(&s, &matrix, &mut scratch, &mut out);
-        assert!(scratch.prunes > 0, "floor pruning never fired");
-        for (p, &got) in patterns.iter().zip(&out) {
-            assert_eq!(got, sequence_match(p, &s, &matrix), "{p}");
-        }
-    }
-
-    #[test]
     fn kernel_parse_round_trips() {
-        assert_eq!(MatchKernel::parse("trie"), Some(MatchKernel::Trie));
         assert_eq!(MatchKernel::parse("naive"), Some(MatchKernel::Naive));
         assert_eq!(MatchKernel::parse("simd"), Some(MatchKernel::Simd));
+        assert_eq!(MatchKernel::parse("trie"), None);
         assert_eq!(MatchKernel::parse("fast"), None);
-        assert_eq!(MatchKernel::default().name(), "trie");
+        assert_eq!(MatchKernel::default(), MatchKernel::Simd);
+        assert_eq!(MatchKernel::default().name(), "simd");
         assert_eq!(MatchKernel::Naive.name(), "naive");
-        assert_eq!(MatchKernel::Simd.name(), "simd");
     }
 
     #[test]

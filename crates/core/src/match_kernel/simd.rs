@@ -1,14 +1,16 @@
 //! Columnar SIMD evaluation of a [`CandidateTrie`] batch: 8 windows per
-//! step, compatibility columns gathered into per-symbol stripes.
+//! step, compatibility columns gathered into per-symbol stripes. This is
+//! the production match kernel ([`MatchKernel::Simd`](super::MatchKernel),
+//! the default); the naive per-pattern scan is its reference oracle.
 //!
 //! # Layout
 //!
-//! The trie kernel walks one window at a time; its inner loop is a chain of
-//! scalar f64 multiplies with a data-dependent branch per node. This module
-//! transposes the work: for each distinct concrete symbol `t` in the batch,
-//! a *stripe* `stripe_t[pos] = C(t, S[pos])` is gathered once per sequence
-//! (lazily — a stripe is built only when a surviving trie path first
-//! touches it), zero-padded past the sequence end. The window loop then
+//! A one-window-at-a-time trie walk is a chain of scalar f64 multiplies
+//! with a data-dependent branch per node. This module transposes the work:
+//! for each distinct concrete symbol `t` in the batch, a *stripe*
+//! `stripe_t[pos] = C(t, S[pos])` is gathered once per sequence (lazily —
+//! a stripe is built only when a surviving trie path first touches it),
+//! zero-padded past the sequence end. The window loop then
 //! advances **eight windows at once**: the same depth-first trie walk, but
 //! each node multiplies a vector of eight running products by eight
 //! contiguous stripe entries instead of one. On x86-64 with AVX2 the eight
@@ -22,24 +24,33 @@
 //! [`sequence_match`](crate::matching::sequence_match), and the max over
 //! windows is order-independent for the non-negative finite values the
 //! match metric produces — so the kernel does not merely approximate the
-//! trie kernel, it reproduces it: the documented tolerance
-//! [`SIMD_MAX_ULP`] is **zero** and the property suite
-//! (`tests/property_simd.rs`) asserts exact bit-identity of both the AVX2
-//! and the scalar path against the trie oracle. The constant exists as the
-//! public contract so that a future layout that *does* reorder multiplies
+//! naive scan, it reproduces it: the documented tolerance
+//! [`SIMD_MAX_ULP`] is **zero** and the property suites
+//! (`tests/property_simd.rs`, `tests/property_kernel.rs`) assert exact
+//! bit-identity of both the AVX2 and the scalar path against the naive
+//! oracle. The constant exists as the public contract so that a future
+//! layout that *does* reorder multiplies
 //! (e.g. log-domain accumulation) has a named bound to widen, with callers
 //! already coded against it.
 //!
 //! # Pruning
 //!
-//! The trie's exact best-window floor (Claim 3.1 monotonicity lifted to
-//! subtrees) carries over at *chunk* granularity: a subtree is cut when
-//! **all eight** lane products are at or below the subtree floor — every
-//! lane could only shrink further, so no descendant's best can improve.
-//! Windows that run past the sequence end multiply by the stripe's zero
-//! padding; windows too late for a given pattern length are masked out of
-//! the terminal max (`n + 1 − len` valid windows), which also keeps
-//! trailing-`*` patterns exact.
+//! The exact best-window floor (Claim 3.1 monotonicity lifted to subtrees)
+//! applies at *chunk* granularity: a subtree is cut when **all eight** lane
+//! products are at or below the subtree floor — every lane could only
+//! shrink further, so no descendant's best can improve. Windows that run
+//! past the sequence end multiply by the stripe's zero padding; windows
+//! too late for a given pattern length are masked out of the terminal max
+//! (`n + 1 − len` valid windows), which also keeps trailing-`*` patterns
+//! exact.
+//!
+//! Floors are raised at chunk boundaries, by whichever of two exact
+//! methods touches fewer slots for the improvements the chunk queued:
+//! one ancestor walk per improved terminal (cost bounded by the node's
+//! precomputed path fan-out), or one sweep rebuilding every floor of the
+//! trie (cost `nodes + children`). A fixed improvement count as the switch
+//! point made wide sparse batches (m = 100, ~10 000 level-2 patterns, ~30
+//! improvements per chunk) pay the whole-trie sweep on nearly every chunk.
 //!
 //! # Observability
 //!
@@ -52,7 +63,7 @@
 
 use std::sync::OnceLock;
 
-use super::{CandidateTrie, NO_PATTERN, NO_STRIPE};
+use super::{CandidateTrie, NO_PARENT, NO_PATTERN, NO_STRIPE};
 use crate::alphabet::Symbol;
 use crate::matrix::CompatibilityMatrix;
 
@@ -60,7 +71,7 @@ use crate::matrix::CompatibilityMatrix;
 pub const LANES: usize = 8;
 
 /// Maximum ULP distance between a columnar-kernel result and the
-/// bit-exact trie/naive result. Zero: the kernel preserves the per-window
+/// bit-exact naive result. Zero: the kernel preserves the per-window
 /// multiplication order and max over windows is order-independent for
 /// non-negative finite f64, so results are bit-identical (enforced by
 /// `tests/property_simd.rs`). Kept as a named constant so any future
@@ -98,11 +109,12 @@ fn avx2_available() -> bool {
     false
 }
 
-/// Per-thread state for the columnar kernel: best/floor (same invariants
-/// as [`TrieScratch`](super::TrieScratch)), the lazily built compatibility
-/// stripes, and the per-depth lane buffers of the current DFS path. Also
-/// accumulates work counters so callers can inspect the kernel without the
-/// metrics registry.
+/// Per-thread state for the columnar kernel: per-pattern best window so
+/// far, per-node pruning floors (`floor[n]` = min best over the terminals
+/// in `n`'s subtree), the lazily built compatibility stripes, and the
+/// per-depth lane buffers of the current DFS path. Also accumulates work
+/// counters so callers can inspect the kernel without the metrics
+/// registry.
 #[derive(Debug, Clone)]
 pub struct SimdScratch {
     best: Vec<f64>,
@@ -117,9 +129,12 @@ pub struct SimdScratch {
     /// chunk. A floor raised mid-chunk cannot prune anything until the
     /// raised node is visited again — which is only ever the *next* chunk —
     /// so raises are deferred to the chunk boundary and applied in one
-    /// batch (a bulk rebuild when the batch is large, e.g. the first chunk
+    /// batch (a bulk rebuild when that is cheaper, e.g. the first chunk
     /// improving every pattern from zero).
     improved: Vec<u32>,
+    /// Upper bound on the slots the queued `improved` ancestor walks
+    /// touch (the sum of their nodes' `walk_cost`).
+    improved_cost: u64,
     /// `stripe_syms.len()` rows of `stride` entries each;
     /// `stripes[r * stride + pos] = C(stripe_syms[r], seq[pos])`, zero past
     /// the sequence end.
@@ -142,6 +157,12 @@ pub struct SimdScratch {
     pub simd_sequences: u64,
     /// Sequences evaluated on the portable scalar path.
     pub scalar_sequences: u64,
+    /// Chunk boundaries whose floor raises walked ancestors per
+    /// improvement.
+    pub floor_walks: u64,
+    /// Chunk boundaries whose floor raises rebuilt every floor in one
+    /// sweep.
+    pub floor_rebuilds: u64,
 }
 
 impl CandidateTrie {
@@ -155,6 +176,7 @@ impl CandidateTrie {
             best_dirty: Vec::new(),
             floor_dirty: Vec::new(),
             improved: Vec::new(),
+            improved_cost: 0,
             stripes: Vec::new(),
             stripe_built: vec![false; self.stripe_syms.len()],
             stride: 0,
@@ -165,16 +187,16 @@ impl CandidateTrie {
             lanes_filled: 0,
             simd_sequences: 0,
             scalar_sequences: 0,
+            floor_walks: 0,
+            floor_rebuilds: 0,
         }
     }
 
-    /// Columnar counterpart of
-    /// [`batch_sequence_match`](Self::batch_sequence_match): computes
-    /// `out[i] = sequence_match(patterns[i], sequence, matrix)` for the
-    /// whole batch, eight windows per step. Dispatches to AVX2 when
+    /// Computes `out[i] = sequence_match(patterns[i], sequence, matrix)`
+    /// for the whole batch, eight windows per step. Dispatches to AVX2 when
     /// [`simd_active`], otherwise to the portable scalar walk; both produce
     /// results within [`SIMD_MAX_ULP`] (= 0, i.e. bit-identical) of the
-    /// trie kernel.
+    /// naive scan.
     ///
     /// # Panics
     ///
@@ -307,31 +329,38 @@ impl CandidateTrie {
             *slot = matrix.get(sym, obs);
         }
         // Zero padding past the sequence end: off-end window positions
-        // multiply to 0, matching the trie walk's skip. Written here (not
-        // pre-zeroed in reset) so reuse never re-zeroes untouched rows.
+        // multiply to 0, so they never beat a real window. Written here
+        // (not pre-zeroed in reset) so reuse never re-zeroes untouched rows.
         tail.fill(0.0);
         scratch.stripe_built[sr] = true;
     }
 
     /// Applies the floor raises queued in `scratch.improved` at a chunk
-    /// boundary. A handful of improvements walk ancestors individually;
-    /// past [`Self::BULK_FLOOR_THRESHOLD`] one reverse-preorder sweep over
-    /// the whole trie (children before parents) is cheaper — the first
-    /// chunk of a sequence typically improves *every* pattern from zero,
-    /// and per-terminal upward walks there cost more than the walk itself.
+    /// boundary, by whichever exact method touches fewer slots: one
+    /// ancestor walk per improvement (at most `improved_cost` slots), or one
+    /// reverse-preorder sweep over the whole trie, children before parents
+    /// (`nodes + children` slots). The first chunk of a sequence typically
+    /// improves *every* pattern from zero, where the sweep wins; later
+    /// chunks improve a few, where the walks win however wide the trie is.
     fn apply_floor_raises(&self, scratch: &mut SimdScratch) {
         let SimdScratch {
             best,
             floor,
             floor_dirty,
             improved,
+            improved_cost,
+            floor_walks,
+            floor_rebuilds,
             ..
         } = scratch;
-        if improved.len() < Self::BULK_FLOOR_THRESHOLD {
+        let rebuild_cost = (self.nodes.len() + self.children.len()) as u64;
+        if *improved_cost < rebuild_cost {
+            *floor_walks += 1;
             for &ni in improved.iter() {
-                self.raise_floors_in_tracked(ni, best, floor, floor_dirty);
+                self.raise_floors(ni, best, floor, floor_dirty);
             }
         } else {
+            *floor_rebuilds += 1;
             for pn in self.pre.iter().rev() {
                 let ni = pn.node as usize;
                 let n = &self.nodes[ni];
@@ -352,12 +381,40 @@ impl CandidateTrie {
             }
         }
         improved.clear();
+        *improved_cost = 0;
     }
 
-    /// Queued improvements at which a bulk floor rebuild beats individual
-    /// ancestor walks (ancestor walks touch ~`len × branching` slots each;
-    /// the rebuild touches every trie node once).
-    const BULK_FLOOR_THRESHOLD: usize = 32;
+    /// Re-establishes the floor invariant (`floor[n]` = min best over
+    /// terminal descendants of `n`, including `n` itself) after `best` of
+    /// the terminal at `node` increased, walking toward the root until a
+    /// floor stops changing. Every node whose floor leaves zero is recorded
+    /// in `dirty`, so the next sequence resets floors by walking the dirty
+    /// list instead of memsetting the whole node array.
+    fn raise_floors(&self, node: u32, best: &[f64], floor: &mut [f64], dirty: &mut Vec<u32>) {
+        let mut ni = node;
+        loop {
+            let n = &self.nodes[ni as usize];
+            let mut f = if n.pattern == NO_PATTERN {
+                f64::INFINITY
+            } else {
+                best[n.pattern as usize]
+            };
+            for &c in &self.children[n.child_start as usize..n.child_end as usize] {
+                f = f.min(floor[c as usize]);
+            }
+            if f == floor[ni as usize] {
+                break; // ancestors already see this minimum
+            }
+            if floor[ni as usize] == 0.0 {
+                dirty.push(ni);
+            }
+            floor[ni as usize] = f;
+            if n.parent == NO_PARENT {
+                break;
+            }
+            ni = n.parent;
+        }
+    }
 
     /// Per-sequence metrics flush (path counter + lane occupancy).
     fn columnar_flush_obs(&self, scratch: &mut SimdScratch, simd: bool) {
@@ -418,7 +475,7 @@ impl CandidateTrie {
                 let own = &mut own_rows[..LANES];
                 if sr == NO_STRIPE {
                     // The eternal symbol: C(*, x) = 1, products unchanged
-                    // (and, like the trie walk, no floor check here).
+                    // (and, like the naive scan, no floor check here).
                     own.copy_from_slice(up);
                 } else {
                     let base = sr as usize * scratch.stride + w0 + d;
@@ -457,6 +514,7 @@ impl CandidateTrie {
                         }
                         scratch.best[pi] = m;
                         scratch.improved.push(pn.node);
+                        scratch.improved_cost += self.nodes[pn.node as usize].walk_cost;
                     }
                 }
                 i += 1;
@@ -496,8 +554,8 @@ impl CandidateTrie {
     /// all established by [`CandidateTrie::new`] and
     /// [`Self::columnar_reset`]:
     /// - `i < pre.len()` is the loop condition, and every `skip` target is
-    ///   `<= pre.len()`; `pre[i].node` is a valid id into `floor`
-    ///   (sized to `nodes.len()`);
+    ///   `<= pre.len()`; `pre[i].node` is a valid id into `nodes` and
+    ///   `floor` (sized to `nodes.len()`);
     /// - `stripe != NO_STRIPE` indexes `stripe_syms`/`stripe_built`, sized
     ///   together;
     /// - rows `d` and `d + 1` of `bufs` exist because `depth <= max_depth`
@@ -610,6 +668,8 @@ impl CandidateTrie {
                             }
                             scratch.best[pi] = m;
                             scratch.improved.push(pn.node);
+                            scratch.improved_cost +=
+                                self.nodes.get_unchecked(pn.node as usize).walk_cost;
                         }
                     }
                 }

@@ -23,7 +23,7 @@ use crate::alphabet::Symbol;
 use crate::error::ScanError;
 use crate::index::SkipPlan;
 use crate::match_kernel::simd::SimdScratch;
-use crate::match_kernel::{CandidateTrie, MatchKernel, TrieScratch};
+use crate::match_kernel::{CandidateTrie, MatchKernel};
 use crate::matrix::CompatibilityMatrix;
 use crate::pattern::{Pattern, PatternElem};
 
@@ -415,10 +415,11 @@ pub fn db_match_many_kernel<S: SequenceScan + ?Sized>(
 /// Fallible variant of [`db_match_many_kernel`] and the common
 /// implementation of every `db_match_many*` entry point.
 ///
-/// With [`MatchKernel::Trie`] the candidate batch is loaded into one
+/// With [`MatchKernel::Simd`] the candidate batch is loaded into one
 /// [`CandidateTrie`] (built once, shared read-only by all workers; each
-/// worker carries its own [`TrieScratch`]), so each sequence window is
-/// walked once for the whole batch instead of once per pattern. The
+/// worker carries its own [`SimdScratch`]), so each group of eight
+/// sequence windows is walked once for the whole batch instead of once
+/// per pattern and window. The
 /// per-block accumulation order is identical to the naive path's, and each
 /// per-(pattern, sequence) value is bit-identical to [`sequence_match`], so
 /// the determinism contract of [`db_match_many_threads`] — bit-identical
@@ -498,36 +499,6 @@ pub fn try_db_match_many_kernel_indexed<S: SequenceScan + ?Sized>(
                 partial
             },
         )?,
-        MatchKernel::Trie => {
-            let trie = CandidateTrie::new(patterns);
-            crate::obs::kernel_patterns_per_scan().set(p as f64);
-            try_scan_map_reduce(
-                db,
-                SCAN_BLOCK_SIZE,
-                threads,
-                &mut |block| visited += block.len(),
-                &|| (trie.scratch(), vec![0.0f64; p]),
-                &|worker: &mut (TrieScratch, Vec<f64>), block_idx, block| {
-                    let (scratch, out) = worker;
-                    let mut partial = vec![0.0f64; p];
-                    let mut stats = BlockSkipStats::default();
-                    for (i, (_, seq)) in block.iter().enumerate() {
-                        if !stats.visit(plan, block_idx * SCAN_BLOCK_SIZE + i) {
-                            continue;
-                        }
-                        trie.batch_sequence_match(seq, matrix, scratch, out);
-                        let mut nonzero = false;
-                        for (t, &v) in partial.iter_mut().zip(out.iter()) {
-                            nonzero |= v != 0.0;
-                            *t += v;
-                        }
-                        stats.contributed(nonzero);
-                    }
-                    stats.record();
-                    partial
-                },
-            )?
-        }
         MatchKernel::Simd => {
             let trie = CandidateTrie::new(patterns);
             crate::obs::kernel_patterns_per_scan().set(p as f64);

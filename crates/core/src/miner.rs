@@ -73,13 +73,12 @@ pub struct MinerConfig {
     /// checkpointed state).
     pub threads: usize,
     /// Which match kernel evaluates candidate batches in phases 2 and 3 —
-    /// the batched [`CandidateTrie`](crate::match_kernel::CandidateTrie)
-    /// (default), the naive per-pattern reference, or the columnar SIMD
-    /// kernel (`simd`, 8 windows per step). Purely operational, like
-    /// `threads`: all three kernels produce identical values (trie/naive
-    /// are bit-identical by construction; simd is bound to them by
+    /// the columnar [`CandidateTrie`](crate::match_kernel::CandidateTrie)
+    /// kernel (`simd`, the default, 8 windows per step) or the naive
+    /// per-pattern reference oracle. Purely operational, like `threads`:
+    /// simd is bound to the naive values by
     /// [`SIMD_MAX_ULP`](crate::match_kernel::simd::SIMD_MAX_ULP), currently
-    /// zero), so this knob never changes mining output and is not part of
+    /// zero, so this knob never changes mining output and is not part of
     /// any checkpointed state.
     pub match_kernel: MatchKernel,
     /// Positional symbol index mode (see [`crate::index`]). With

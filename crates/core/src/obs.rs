@@ -122,11 +122,11 @@ counter!(
     "patterns"
 );
 
-// Batched candidate-trie match kernel (match_kernel.rs).
+// Candidate-trie match kernel (match_kernel.rs).
 counter!(
     kernel_nodes_visited,
     "core_kernel_nodes_visited_total",
-    "Trie nodes expanded by the batched match kernel across all windows and sequences",
+    "Trie-node visits by the columnar match kernel, one per 8-window chunk, across all sequences",
     "nodes"
 );
 counter!(

@@ -207,7 +207,7 @@ pub fn sum_sequence_matches(
 
 /// [`sum_sequence_matches`] with an explicit [`MatchKernel`] choice.
 ///
-/// With [`MatchKernel::Trie`] the pattern batch is loaded into one
+/// With [`MatchKernel::Simd`] the pattern batch is loaded into one
 /// [`CandidateTrie`] shared read-only by every worker (each with private
 /// scratch). Per-(pattern, sequence) values are bit-identical to
 /// [`sequence_match`] and the [`CHUNK_SIZE`] accumulation grouping is
@@ -226,13 +226,13 @@ pub fn sum_sequence_matches_kernel(
     }
     let trie = match kernel {
         MatchKernel::Naive => None,
-        MatchKernel::Trie | MatchKernel::Simd => {
+        MatchKernel::Simd => {
             crate::obs::kernel_patterns_per_scan().set(p as f64);
             Some(CandidateTrie::new(patterns))
         }
     };
     // One reusable evaluation context per worker thread.
-    let make_eval = || EvalContext::new(patterns, matrix, trie.as_ref(), kernel);
+    let make_eval = || EvalContext::new(patterns, matrix, trie.as_ref());
     let threads = threads.max(1).min(sequences.len().div_ceil(CHUNK_SIZE));
     if threads == 1 || p * sequences.len() < PARALLEL_THRESHOLD {
         // Serial path, but with the *same* chunked accumulation grouping as
@@ -290,23 +290,16 @@ pub fn sum_sequence_matches_kernel(
 }
 
 /// One worker's evaluation state: either the naive per-pattern loop or a
-/// shared [`CandidateTrie`] plus this worker's private scratch.
+/// shared [`CandidateTrie`] plus this worker's private columnar scratch.
 enum EvalContext<'a> {
     Naive {
         patterns: &'a [Pattern],
         matrix: &'a CompatibilityMatrix,
     },
-    Trie {
-        trie: &'a CandidateTrie,
-        matrix: &'a CompatibilityMatrix,
-        scratch: crate::match_kernel::TrieScratch,
-        out: Vec<f64>,
-    },
     Simd {
         trie: &'a CandidateTrie,
         matrix: &'a CompatibilityMatrix,
-        scratch: crate::match_kernel::simd::SimdScratch,
-        out: Vec<f64>,
+        scratch: Box<crate::match_kernel::simd::SimdScratch>,
     },
 }
 
@@ -315,27 +308,21 @@ impl<'a> EvalContext<'a> {
         patterns: &'a [Pattern],
         matrix: &'a CompatibilityMatrix,
         trie: Option<&'a CandidateTrie>,
-        kernel: MatchKernel,
     ) -> Self {
         match trie {
             None => Self::Naive { patterns, matrix },
-            Some(trie) if kernel == MatchKernel::Simd => Self::Simd {
+            Some(trie) => Self::Simd {
                 trie,
                 matrix,
-                scratch: trie.simd_scratch(),
-                out: vec![0.0; trie.num_patterns()],
-            },
-            Some(trie) => Self::Trie {
-                trie,
-                matrix,
-                scratch: trie.scratch(),
-                out: vec![0.0; trie.num_patterns()],
+                scratch: Box::new(trie.simd_scratch()),
             },
         }
     }
 
     /// Adds each pattern's sequence match over `sequences` into `totals`,
-    /// in sequence order — the same addition order for both variants.
+    /// in sequence order — the same addition order for both variants. The
+    /// columnar kernel adds only the patterns a sequence touched: `x + 0.0`
+    /// never changes the bits of a non-negative total.
     fn accumulate(&mut self, sequences: &[Vec<Symbol>], totals: &mut [f64]) {
         match self {
             Self::Naive { patterns, matrix } => {
@@ -345,30 +332,13 @@ impl<'a> EvalContext<'a> {
                     }
                 }
             }
-            Self::Trie {
-                trie,
-                matrix,
-                scratch,
-                out,
-            } => {
-                for seq in sequences {
-                    trie.batch_sequence_match(seq, matrix, scratch, out);
-                    for (total, &v) in totals.iter_mut().zip(out.iter()) {
-                        *total += v;
-                    }
-                }
-            }
             Self::Simd {
                 trie,
                 matrix,
                 scratch,
-                out,
             } => {
                 for seq in sequences {
-                    trie.batch_sequence_match_columnar(seq, matrix, scratch, out);
-                    for (total, &v) in totals.iter_mut().zip(out.iter()) {
-                        *total += v;
-                    }
+                    trie.batch_sequence_match_columnar_sum(seq, matrix, scratch, totals);
                 }
             }
         }

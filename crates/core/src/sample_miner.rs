@@ -114,8 +114,8 @@ pub fn mine_sample_budgeted(
 /// [`mine_sample_budgeted`] with an explicit [`MatchKernel`] for the
 /// level-wise candidate evaluation. The kernels produce identical values
 /// (see [`crate::match_kernel`]; the columnar simd kernel is held to the
-/// trie within a zero-ULP contract); the knob selects the reference oracle
-/// for equivalence testing and ablation.
+/// naive scan within a zero-ULP contract); the knob selects the reference
+/// oracle for equivalence testing and ablation.
 #[allow(clippy::too_many_arguments)]
 pub fn mine_sample_budgeted_kernel(
     sample: &[Vec<Symbol>],

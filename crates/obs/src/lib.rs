@@ -26,10 +26,12 @@
 //!   never participates in a mining computation, so an instrumented run
 //!   produces exactly the same patterns as an uninstrumented one.
 //! - **Near-zero cost when disabled.** Recording is gated on a single
-//!   relaxed atomic-bool load (see [`enabled`]); span timers skip the
-//!   `Instant::now` calls entirely while disabled. Nothing is recorded
-//!   until a caller opts in with [`enable`], which the CLI does only when
-//!   `--metrics-out` is given.
+//!   relaxed atomic-bool load of the owning registry's switch (for the
+//!   process-wide registry, see [`enabled`]); span timers skip the
+//!   `Instant::now` calls entirely while disabled. The process-wide
+//!   registry records nothing until a caller opts in with [`enable`],
+//!   which the CLI does only when `--metrics-out` is given. A registry
+//!   built with [`Registry::new`] has its own switch and starts enabled.
 //!
 //! ## Quick start
 //!
@@ -61,32 +63,32 @@ pub use registry::{count_buckets, duration_buckets, Counter, Gauge, Histogram, R
 pub use sink::{FileSink, SinkFormat};
 pub use snapshot::{MetricSnapshot, MetricValue, Snapshot};
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
 static GLOBAL: OnceLock<Registry> = OnceLock::new();
 
 /// Turns recording on for the process-wide registry. Until this is called,
-/// every counter/gauge/histogram operation is a single relaxed load + branch.
+/// every counter/gauge/histogram operation on it is a single relaxed load +
+/// branch.
 pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
+    global().enable();
 }
 
-/// Turns recording back off (primarily for tests).
+/// Turns recording of the process-wide registry back off.
 pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
+    global().disable();
 }
 
-/// Whether recording is currently enabled.
+/// Whether the process-wide registry is currently recording.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    global().enabled()
 }
 
 /// The process-wide registry all workspace instrumentation records into.
+/// It starts disabled; see [`enable`].
 pub fn global() -> &'static Registry {
-    GLOBAL.get_or_init(Registry::new)
+    GLOBAL.get_or_init(|| Registry::with_enabled(false))
 }
 
 /// Registers (or fetches) a counter in the [`global`] registry.
@@ -110,13 +112,14 @@ mod tests {
 
     #[test]
     fn enable_disable_round_trip() {
-        // Note: other tests in this binary share the flag; only check the
-        // transitions we drive ourselves.
-        enable();
-        assert!(enabled());
-        disable();
-        assert!(!enabled());
-        enable();
+        // A local registry: the process-wide switch belongs to the other
+        // tests of this binary.
+        let r = Registry::new();
+        assert!(r.enabled(), "a local registry starts enabled");
+        r.disable();
+        assert!(!r.enabled());
+        r.enable();
+        assert!(r.enabled());
     }
 
     #[test]

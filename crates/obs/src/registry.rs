@@ -4,19 +4,26 @@
 //! Registration (name → metric) goes through a mutex and happens once per
 //! metric name; the handles it returns are `Arc`-backed and record through
 //! plain atomics, so the hot path never touches a lock. All recording is
-//! gated on [`crate::enabled`] so an instrumented binary with observability
-//! off pays one relaxed load + branch per call site.
+//! gated on the owning registry's enabled flag (for the process-wide
+//! registry, [`crate::enabled`]), so an instrumented binary with
+//! observability off pays one relaxed load + branch per call site.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::snapshot::{MetricSnapshot, MetricValue, Snapshot};
 
+/// A registry's recording switch, shared with every handle it hands out.
+type Switch = Arc<AtomicBool>;
+
 /// A monotonically increasing integer metric.
 #[derive(Clone, Debug)]
-pub struct Counter(Arc<AtomicU64>);
+pub struct Counter {
+    value: Arc<AtomicU64>,
+    enabled: Switch,
+}
 
 impl Counter {
     /// Adds 1.
@@ -28,27 +35,30 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if crate::enabled() {
-            self.0.fetch_add(n, Ordering::Relaxed);
+        if self.enabled.load(Ordering::Relaxed) {
+            self.value.fetch_add(n, Ordering::Relaxed);
         }
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.value.load(Ordering::Relaxed)
     }
 }
 
 /// A last-write-wins floating-point metric.
 #[derive(Clone, Debug)]
-pub struct Gauge(Arc<AtomicU64>);
+pub struct Gauge {
+    value: Arc<AtomicU64>,
+    enabled: Switch,
+}
 
 impl Gauge {
     /// Sets the gauge.
     #[inline]
     pub fn set(&self, value: f64) {
-        if crate::enabled() {
-            self.0.store(value.to_bits(), Ordering::Relaxed);
+        if self.enabled.load(Ordering::Relaxed) {
+            self.value.store(value.to_bits(), Ordering::Relaxed);
         }
     }
 
@@ -56,10 +66,10 @@ impl Gauge {
     /// spread seen in a run). Lock-free CAS loop; last concurrent minimum
     /// wins deterministically because `min` is commutative.
     pub fn set_min(&self, value: f64) {
-        if !crate::enabled() {
+        if !self.enabled.load(Ordering::Relaxed) {
             return;
         }
-        let mut current = self.0.load(Ordering::Relaxed);
+        let mut current = self.value.load(Ordering::Relaxed);
         loop {
             let cur = f64::from_bits(current);
             // An untouched gauge reads 0.0; treat it as "unset" so the first
@@ -67,7 +77,7 @@ impl Gauge {
             if cur != 0.0 && cur <= value {
                 return;
             }
-            match self.0.compare_exchange_weak(
+            match self.value.compare_exchange_weak(
                 current,
                 value.to_bits(),
                 Ordering::Relaxed,
@@ -83,16 +93,16 @@ impl Gauge {
     /// half-band `ε` used in a run). As with [`Gauge::set_min`], an
     /// untouched gauge (0.0) counts as unset.
     pub fn set_max(&self, value: f64) {
-        if !crate::enabled() {
+        if !self.enabled.load(Ordering::Relaxed) {
             return;
         }
-        let mut current = self.0.load(Ordering::Relaxed);
+        let mut current = self.value.load(Ordering::Relaxed);
         loop {
             let cur = f64::from_bits(current);
             if cur != 0.0 && cur >= value {
                 return;
             }
-            match self.0.compare_exchange_weak(
+            match self.value.compare_exchange_weak(
                 current,
                 value.to_bits(),
                 Ordering::Relaxed,
@@ -106,7 +116,7 @@ impl Gauge {
 
     /// Current value.
     pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
+        f64::from_bits(self.value.load(Ordering::Relaxed))
     }
 }
 
@@ -121,6 +131,7 @@ pub(crate) struct HistogramInner {
     pub(crate) count: AtomicU64,
     /// Sum of observations as f64 bits, updated with a CAS loop.
     pub(crate) sum_bits: AtomicU64,
+    enabled: Switch,
 }
 
 /// A bucketed distribution metric (Prometheus-style cumulative-`le`
@@ -131,7 +142,7 @@ pub struct Histogram(pub(crate) Arc<HistogramInner>);
 impl Histogram {
     /// Records one observation.
     pub fn observe(&self, value: f64) {
-        if !crate::enabled() {
+        if !self.0.enabled.load(Ordering::Relaxed) {
             return;
         }
         let inner = &self.0;
@@ -162,7 +173,7 @@ impl Histogram {
     /// timestamp and records nothing.
     pub fn span(&self) -> Span {
         Span {
-            start: crate::enabled().then(Instant::now),
+            start: self.0.enabled.load(Ordering::Relaxed).then(Instant::now),
             histogram: self.clone(),
         }
     }
@@ -239,17 +250,53 @@ struct Registration {
     metric: Metric,
 }
 
-/// A set of named metrics. Most code uses the process-wide
-/// [`crate::global`] registry; tests construct private ones.
-#[derive(Debug, Default)]
+/// A set of named metrics with its own recording switch. Most code uses
+/// the process-wide [`crate::global`] registry, which starts disabled and
+/// follows [`crate::enable`]/[`crate::disable`]; tests construct private
+/// ones, which start enabled, so no test depends on another test's use of
+/// the process-wide switch.
+#[derive(Debug)]
 pub struct Registry {
     metrics: Mutex<BTreeMap<String, Registration>>,
+    enabled: Switch,
+}
+
+impl Default for Registry {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Registry {
-    /// An empty registry.
+    /// An empty registry that records unconditionally (until
+    /// [`Registry::disable`]).
     pub fn new() -> Self {
-        Self::default()
+        Self::with_enabled(true)
+    }
+
+    /// An empty registry with the given initial recording state.
+    pub(crate) fn with_enabled(enabled: bool) -> Self {
+        Self {
+            metrics: Mutex::default(),
+            enabled: Arc::new(AtomicBool::new(enabled)),
+        }
+    }
+
+    /// Turns recording on for every metric of this registry.
+    pub fn enable(&self) {
+        self.enabled.store(true, Ordering::Relaxed);
+    }
+
+    /// Turns recording off: every record call on this registry's handles
+    /// becomes a relaxed load + branch.
+    pub fn disable(&self) {
+        self.enabled.store(false, Ordering::Relaxed);
+    }
+
+    /// Whether this registry's metrics currently record.
+    #[inline]
+    pub fn enabled(&self) -> bool {
+        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Registers a counter, or returns the existing handle for `name`.
@@ -264,7 +311,10 @@ impl Registry {
             .or_insert_with(|| Registration {
                 help: help.to_string(),
                 unit: unit.to_string(),
-                metric: Metric::Counter(Counter(Arc::new(AtomicU64::new(0)))),
+                metric: Metric::Counter(Counter {
+                    value: Arc::new(AtomicU64::new(0)),
+                    enabled: Arc::clone(&self.enabled),
+                }),
             });
         match &reg.metric {
             Metric::Counter(c) => c.clone(),
@@ -284,7 +334,10 @@ impl Registry {
             .or_insert_with(|| Registration {
                 help: help.to_string(),
                 unit: unit.to_string(),
-                metric: Metric::Gauge(Gauge(Arc::new(AtomicU64::new(0)))),
+                metric: Metric::Gauge(Gauge {
+                    value: Arc::new(AtomicU64::new(0)),
+                    enabled: Arc::clone(&self.enabled),
+                }),
             });
         match &reg.metric {
             Metric::Gauge(g) => g.clone(),
@@ -320,6 +373,7 @@ impl Registry {
                     buckets,
                     count: AtomicU64::new(0),
                     sum_bits: AtomicU64::new(0.0f64.to_bits()),
+                    enabled: Arc::clone(&self.enabled),
                 }))),
             }
         });
@@ -373,8 +427,8 @@ impl Registry {
         let metrics = self.metrics.lock().expect("metrics registry poisoned");
         for reg in metrics.values() {
             match &reg.metric {
-                Metric::Counter(c) => c.0.store(0, Ordering::Relaxed),
-                Metric::Gauge(g) => g.0.store(0.0f64.to_bits(), Ordering::Relaxed),
+                Metric::Counter(c) => c.value.store(0, Ordering::Relaxed),
+                Metric::Gauge(g) => g.value.store(0.0f64.to_bits(), Ordering::Relaxed),
                 Metric::Histogram(h) => {
                     for b in &h.0.buckets {
                         b.store(0, Ordering::Relaxed);
@@ -393,7 +447,6 @@ mod tests {
 
     #[test]
     fn counter_and_gauge_roundtrip() {
-        crate::enable();
         let r = Registry::new();
         let c = r.counter("c", "a counter", "ops");
         c.inc();
@@ -414,7 +467,6 @@ mod tests {
 
     #[test]
     fn histogram_bucket_boundaries_use_le_semantics() {
-        crate::enable();
         let r = Registry::new();
         let h = r.histogram("h", "test", "seconds", vec![1.0, 2.0, 4.0]);
         // A value equal to a bound lands in that bucket (v <= bound).
@@ -454,7 +506,6 @@ mod tests {
 
     #[test]
     fn snapshot_deterministic_under_concurrent_increments() {
-        crate::enable();
         let r = Registry::new();
         let c = r.counter("concurrent", "test", "ops");
         let h = r.histogram("concurrent_h", "test", "units", count_buckets());
@@ -507,20 +558,29 @@ mod tests {
     fn disabled_recording_is_a_no_op() {
         let r = Registry::new();
         let c = r.counter("gated", "", "");
+        let g = r.gauge("gated_g", "", "");
         let h = r.histogram("gated_h", "", "", vec![1.0]);
-        crate::disable();
+        r.disable();
+        assert!(!r.enabled());
         c.inc();
+        g.set(0.5);
+        g.set_max(0.7);
         h.observe(0.5);
         let span = h.span();
         drop(span);
-        crate::enable();
         assert_eq!(c.get(), 0);
+        assert_eq!(g.get(), 0.0);
         assert_eq!(h.count(), 0);
+        // Handles registered after the switch share it too.
+        r.counter("late", "", "").inc();
+        assert_eq!(r.counter("late", "", "").get(), 0);
+        r.enable();
+        c.inc();
+        assert_eq!(c.get(), 1);
     }
 
     #[test]
     fn span_records_elapsed_seconds() {
-        crate::enable();
         let r = Registry::new();
         let h = r.histogram("span_h", "", "seconds", duration_buckets());
         {
@@ -536,7 +596,6 @@ mod tests {
 
     #[test]
     fn reset_zeroes_but_keeps_handles() {
-        crate::enable();
         let r = Registry::new();
         let c = r.counter("resettable", "", "");
         c.add(7);

@@ -2,19 +2,20 @@
 //! model, bit-identical to the offline miner.
 //!
 //! [`classify`] reproduces [`db_match_many`]'s exact floating-point
-//! reduction: per-sequence scores come from the shared
-//! [`CandidateTrie::batch_sequence_match`] kernel (itself bit-identical to
-//! per-pattern `sequence_match`), and the Def-3.7 database match is
-//! accumulated in [`SCAN_BLOCK_SIZE`]-sequence blocks whose partial sums
-//! are reduced in block order — the workspace's determinism contract. A
-//! request served online therefore scores **bit-for-bit** what an offline
-//! `db_match_many` over the same sequences would report, at any thread
-//! count on either side.
+//! reduction: per-sequence scores come from the shared columnar
+//! [`CandidateTrie::batch_sequence_match_columnar`] kernel (itself
+//! bit-identical to per-pattern `sequence_match`), and the Def-3.7
+//! database match is accumulated in [`SCAN_BLOCK_SIZE`]-sequence blocks
+//! whose partial sums are reduced in block order — the workspace's
+//! determinism contract. A request served online therefore scores
+//! **bit-for-bit** what an offline `db_match_many` over the same sequences
+//! would report, at any thread count on either side.
 //!
 //! [`db_match_many`]: noisemine_core::matching::db_match_many
-//! [`CandidateTrie::batch_sequence_match`]: noisemine_core::CandidateTrie::batch_sequence_match
+//! [`CandidateTrie::batch_sequence_match_columnar`]: noisemine_core::CandidateTrie::batch_sequence_match_columnar
 //! [`SCAN_BLOCK_SIZE`]: noisemine_core::parallel::SCAN_BLOCK_SIZE
 
+use noisemine_core::matching::sequence_match;
 use noisemine_core::parallel::SCAN_BLOCK_SIZE;
 use noisemine_core::{MatchKernel, Symbol};
 
@@ -34,19 +35,18 @@ pub struct Classification {
     pub db_match: Vec<f64>,
 }
 
-/// Classifies `sequences` against `model` with the default (trie) kernel.
+/// Classifies `sequences` against `model` with the default match kernel.
 ///
 /// Symbols must already be encoded against the model's alphabet (the HTTP
 /// layer handles name→symbol translation and range checks).
 pub fn classify(model: &ServeModel, sequences: &[Vec<Symbol>]) -> Classification {
-    classify_with(model, sequences, MatchKernel::Trie)
+    classify_with(model, sequences, MatchKernel::default())
 }
 
 /// [`classify`] with an explicit [`MatchKernel`] (`noisemine serve
-/// --kernel`). Purely operational: the naive kernel falls back to the
-/// trie here (there is no per-pattern path worth keeping on the serving
-/// side), and the columnar simd kernel is held to the trie's values within
-/// a zero-ULP contract, so scores never depend on the choice.
+/// --kernel`). Purely operational: the naive per-pattern oracle and the
+/// columnar kernel agree within a zero-ULP contract, so scores never
+/// depend on the choice.
 pub fn classify_with(
     model: &ServeModel,
     sequences: &[Vec<Symbol>],
@@ -63,25 +63,22 @@ pub fn classify_with(
             db_match: totals,
         };
     };
-    let simd = kernel == MatchKernel::Simd;
-    let mut trie_scratch = trie.scratch();
-    let mut simd_scratch = if simd {
-        Some(trie.simd_scratch())
-    } else {
-        None
-    };
+    let matrix = &model.spec.matrix;
+    let mut scratch = trie.simd_scratch();
     let mut out = vec![0.0f64; p];
     // Block-ordered reduction: identical to try_db_match_many_kernel's
     // scan_map_reduce over SCAN_BLOCK_SIZE-sequence blocks.
     for block in sequences.chunks(SCAN_BLOCK_SIZE) {
         let mut partial = vec![0.0f64; p];
         for seq in block {
-            match &mut simd_scratch {
-                Some(scratch) => {
-                    trie.batch_sequence_match_columnar(seq, &model.spec.matrix, scratch, &mut out)
+            match kernel {
+                MatchKernel::Simd => {
+                    trie.batch_sequence_match_columnar(seq, matrix, &mut scratch, &mut out)
                 }
-                None => {
-                    trie.batch_sequence_match(seq, &model.spec.matrix, &mut trie_scratch, &mut out)
+                MatchKernel::Naive => {
+                    for (o, pattern) in out.iter_mut().zip(&model.patterns) {
+                        *o = sequence_match(pattern, seq, matrix);
+                    }
                 }
             }
             for (t, &v) in partial.iter_mut().zip(out.iter()) {
@@ -177,16 +174,16 @@ mod tests {
     }
 
     #[test]
-    fn simd_kernel_scores_bits_equal_trie() {
+    fn simd_kernel_scores_bits_equal_naive() {
         let model = toy_model(7);
         let seqs = toy_sequences(600, 24, 8);
-        let trie = classify_with(&model, &seqs, MatchKernel::Trie);
+        let naive = classify_with(&model, &seqs, MatchKernel::Naive);
         let simd = classify_with(&model, &seqs, MatchKernel::Simd);
-        assert_eq!(simd.model_version, trie.model_version);
-        for (a, b) in simd.db_match.iter().zip(&trie.db_match) {
+        assert_eq!(simd.model_version, naive.model_version);
+        for (a, b) in simd.db_match.iter().zip(&naive.db_match) {
             assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
         }
-        for (sa, sb) in simd.per_sequence.iter().zip(&trie.per_sequence) {
+        for (sa, sb) in simd.per_sequence.iter().zip(&naive.per_sequence) {
             for (a, b) in sa.iter().zip(sb) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
             }

@@ -16,8 +16,8 @@
 //!   ArcSwap-style `Mutex<Arc<ServeModel>>` epoch pointer; in-flight
 //!   requests finish on the model they started with.
 //! - [`classify`](mod@classify) — the scoring hot path, **bit-identical**
-//!   to offline [`db_match_many`] over the same sequences (same batched
-//!   trie kernel, same block-ordered float reduction).
+//!   to offline [`db_match_many`] over the same sequences (same columnar
+//!   match kernel, same block-ordered float reduction).
 //! - [`admission`] — deterministic per-tenant token buckets; exhausted
 //!   quota answers HTTP 429.
 //! - [`server`] — the zero-dependency server: a `poll(2)` readiness event

@@ -93,9 +93,9 @@ pub struct ServeConfig {
     /// before the event loop exits.
     pub drain_grace: Duration,
     /// Match kernel for `/classify` scoring (`noisemine serve --kernel`).
-    /// Purely operational — all kernels produce identical scores (the
-    /// columnar simd kernel is held to the trie by a zero-ULP contract),
-    /// so responses never depend on the choice.
+    /// Purely operational — both kernels produce identical scores (the
+    /// columnar simd kernel is held to the naive oracle by a zero-ULP
+    /// contract), so responses never depend on the choice.
     pub kernel: MatchKernel,
 }
 
@@ -107,7 +107,7 @@ impl Default for ServeConfig {
             max_requests_per_conn: 0,
             idle_timeout: Duration::from_secs(10),
             drain_grace: Duration::from_millis(500),
-            kernel: MatchKernel::Trie,
+            kernel: MatchKernel::default(),
         }
     }
 }
@@ -891,7 +891,7 @@ mod tests {
             start: Instant::now(),
             wake: None,
             drift: None,
-            kernel: MatchKernel::Trie,
+            kernel: MatchKernel::default(),
         })
     }
 

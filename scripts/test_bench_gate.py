@@ -22,7 +22,7 @@ def kernel_doc(rows):
     return {"bench": "match_kernel", "rows": rows}
 
 
-def kernel_row(symbols=8, length=4, candidates=16, kernel="trie", evals=1000.0):
+def kernel_row(symbols=8, length=4, candidates=16, kernel="naive", evals=1000.0):
     return {
         "symbols": symbols,
         "len": length,
@@ -74,16 +74,16 @@ class TestVerdicts(GateHarness):
 
     def test_row_missing_from_current_fails(self):
         res = self.run_gate(
-            kernel_doc([kernel_row(kernel="trie"), kernel_row(kernel="naive")]),
-            kernel_doc([kernel_row(kernel="trie")]),
+            kernel_doc([kernel_row(kernel="naive", length=4), kernel_row(kernel="naive", length=12)]),
+            kernel_doc([kernel_row(kernel="naive", length=4)]),
         )
         self.assertEqual(res.returncode, 1)
         self.assertIn("missing from current run", res.stdout)
 
-    def test_simd_rows_gate_on_within_run_trie_ratio(self):
+    def test_simd_rows_gate_on_within_run_naive_ratio(self):
         def simd_row(evals, ratio):
             row = kernel_row(kernel="simd", evals=evals)
-            row["speedup_vs_trie"] = ratio
+            row["speedup"] = ratio
             return row
 
         base = kernel_doc([simd_row(evals=1000.0, ratio=3.5)])
@@ -91,19 +91,27 @@ class TestVerdicts(GateHarness):
         # ratio holds: not a regression.
         ok = self.run_gate(base, kernel_doc([simd_row(evals=500.0, ratio=3.4)]))
         self.assertEqual(ok.returncode, 0, ok.stderr)
-        self.assertIn("speedup_vs_trie", ok.stdout)
+        self.assertIn("speedup", ok.stdout)
         # Throughput doubles but the ratio collapsed: the simd kernel lost
-        # its edge over trie, and that is what the row gates.
+        # its edge over the naive oracle, and that is what the row gates.
         bad = self.run_gate(base, kernel_doc([simd_row(evals=2000.0, ratio=1.2)]))
         self.assertEqual(bad.returncode, 1)
         self.assertIn("regressed", bad.stdout)
-        self.assertIn("speedup_vs_trie", bad.stdout)
+        self.assertIn("speedup", bad.stdout)
+
+    def test_naive_rows_gate_on_throughput(self):
+        row = kernel_row(kernel="naive", evals=1000.0)
+        row["speedup"] = 1.0
+        slow = dict(row, evals_per_sec=500.0)
+        res = self.run_gate(kernel_doc([row]), kernel_doc([slow]))
+        self.assertEqual(res.returncode, 1)
+        self.assertIn("evals_per_sec", res.stdout)
 
     def test_simd_row_missing_ratio_metric_is_an_error(self):
         row = kernel_row(kernel="simd")  # has evals_per_sec, lacks the ratio
         res = self.run_gate(kernel_doc([row]), kernel_doc([row]))
         self.assertEqual(res.returncode, 1)
-        self.assertIn("missing field(s) speedup_vs_trie", res.stderr)
+        self.assertIn("missing field(s) speedup", res.stderr)
         self.assertNotIn("Traceback", res.stderr)
 
     def test_empty_baseline_fails_not_passes(self):

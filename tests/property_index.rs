@@ -106,7 +106,7 @@ fn indexed_scan_is_bit_identical_to_full_scan() {
         let reference =
             try_db_match_many_kernel_indexed(&patterns, &db, &matrix, 1, MatchKernel::Naive, None)
                 .unwrap();
-        for kernel in [MatchKernel::Naive, MatchKernel::Trie] {
+        for kernel in [MatchKernel::Naive, MatchKernel::Simd] {
             for threads in [1, 4] {
                 let got = try_db_match_many_kernel_indexed(
                     &patterns,
