@@ -11,14 +11,14 @@
 //! one scan per ambiguous level and is exactly what Figure 14 shows losing
 //! to border collapsing once patterns get long.
 
-use noisemine_core::border_collapse::{collapse, ProbeStrategy};
+use noisemine_core::border_collapse::{try_collapse_with_known_kernel_indexed, ProbeStrategy};
 use noisemine_core::candidates::PatternSpace;
 use noisemine_core::chernoff::SpreadMode;
 use noisemine_core::lattice::{AmbiguousSpace, Border};
 use noisemine_core::matching::SequenceScan;
 use noisemine_core::matrix::CompatibilityMatrix;
-use noisemine_core::miner::{phase1, FrequentPattern, MinerConfig};
-use noisemine_core::sample_miner::mine_sample_budgeted;
+use noisemine_core::miner::{try_phase1_threads_indexed, FrequentPattern, MinerConfig};
+use noisemine_core::sample_miner::mine_sample_budgeted_kernel;
 use noisemine_core::Result;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -56,11 +56,18 @@ where
     let mut scans = 0usize;
 
     // Phase 1: symbol matches + sample (one scan).
-    let p1 = phase1(db, matrix, config.sample_size, &mut rng);
+    let (p1, _) = try_phase1_threads_indexed(
+        db,
+        matrix,
+        config.sample_size,
+        &mut rng,
+        config.threads,
+        false,
+    )?;
     scans += 1;
 
     // Phase 2: classify candidates on the sample.
-    let p2 = mine_sample_budgeted(
+    let p2 = mine_sample_budgeted_kernel(
         &p1.sample,
         matrix,
         &p1.symbol_match,
@@ -69,6 +76,7 @@ where
         config.spread_mode,
         &config.space,
         config.max_sample_patterns,
+        config.match_kernel,
     );
     if p2.truncated {
         return Err(noisemine_core::Error::InvalidConfig(
@@ -80,14 +88,18 @@ where
     // Finalization: level-wise verification of the ambiguous region.
     let ambiguous = AmbiguousSpace::new(p2.ambiguous.iter().map(|(p, _)| p.clone()));
     let ambiguous_verified = ambiguous.len();
-    let p3 = collapse(
+    let p3 = try_collapse_with_known_kernel_indexed(
         ambiguous,
+        &[],
         db,
         matrix,
         config.min_match,
         config.counters_per_scan,
         ProbeStrategy::LevelWise,
-    );
+        config.threads,
+        config.match_kernel,
+        None,
+    )?;
     scans += p3.scans;
 
     let (frequent, border) = noisemine_core::miner::assemble_outcome(&p2, &p3);
@@ -130,6 +142,7 @@ pub fn toivonen_config(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noisemine_core::error::{ScanError, ScanErrorKind};
     use noisemine_core::miner::mine;
     use noisemine_core::Alphabet;
     use noisemine_seqdb::MemoryDb;
@@ -180,6 +193,46 @@ mod tests {
         let t = mine_toivonen(&database, &matrix, &config()).unwrap();
         assert!(t.scans >= 1);
         assert_eq!(database.scans_performed(), t.scans);
+    }
+
+    /// A store whose scans fail once they have yielded `budget` sequences
+    /// in total, counted across scans.
+    struct FailingScan(MemoryDb, std::cell::Cell<usize>);
+
+    impl SequenceScan for FailingScan {
+        fn num_sequences(&self) -> usize {
+            self.0.num_sequences()
+        }
+        fn scan(&self, visit: &mut dyn FnMut(u64, &[noisemine_core::Symbol])) {
+            self.try_scan(visit).expect("database scan failed")
+        }
+        fn try_scan(
+            &self,
+            visit: &mut dyn FnMut(u64, &[noisemine_core::Symbol]),
+        ) -> std::result::Result<(), ScanError> {
+            for (id, seq) in self.0.sequences() {
+                let Some(left) = self.1.get().checked_sub(1) else {
+                    return Err(ScanError::new(ScanErrorKind::Corrupt, "injected fault"));
+                };
+                self.1.set(left);
+                visit(*id, seq);
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn scan_fault_returns_err_instead_of_panicking() {
+        let matrix = noisemine_core::CompatibilityMatrix::paper_figure2();
+        let clean = mine_toivonen(&db(), &matrix, &config()).unwrap();
+        assert!(clean.scans >= 2, "need a verification scan to fault");
+        // A budget of 5 faults phase 1; 25 (one full scan of the 20
+        // sequences, plus 5) faults the first level-wise verification scan.
+        for budget in [5, 25] {
+            let got = mine_toivonen(&FailingScan(db(), budget.into()), &matrix, &config());
+            let is_scan_fault = matches!(got, Err(noisemine_core::Error::Scan(_)));
+            assert!(is_scan_fault, "budget {budget}: {got:?}");
+        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! decision ✦2 of DESIGN.md.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use noisemine_core::matching::{db_match_many, sequence_match, MemorySequences};
-use noisemine_core::{CompatibilityMatrix, Pattern, Symbol};
+use noisemine_core::matching::{sequence_match, try_db_match_many, MemorySequences};
+use noisemine_core::{CompatibilityMatrix, MatchKernel, Pattern, Symbol};
 use noisemine_datagen::noise::{channel_to_compatibility, partner_channel};
 use noisemine_datagen::{generate, Background, GeneratorConfig, PlantedMotif};
 
@@ -63,11 +63,11 @@ fn bench_sequence_match(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_db_match_many(c: &mut Criterion) {
+fn bench_try_db_match_many(c: &mut Criterion) {
     let (seqs, _) = workload(100);
     let db = MemorySequences(seqs);
     let matrix = dense_matrix();
-    let mut group = c.benchmark_group("db_match_many");
+    let mut group = c.benchmark_group("try_db_match_many");
     for count in [16usize, 128, 512] {
         let patterns: Vec<Pattern> = (0..count)
             .map(|i| {
@@ -80,11 +80,21 @@ fn bench_db_match_many(c: &mut Criterion) {
             })
             .collect();
         group.bench_with_input(BenchmarkId::from_parameter(count), &count, |b, _| {
-            b.iter(|| db_match_many(black_box(&patterns), &db, &matrix))
+            b.iter(|| {
+                try_db_match_many(
+                    black_box(&patterns),
+                    &db,
+                    &matrix,
+                    0,
+                    MatchKernel::default(),
+                    None,
+                )
+                .expect("database scan failed")
+            })
         });
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_sequence_match, bench_db_match_many);
+criterion_group!(benches, bench_sequence_match, bench_try_db_match_many);
 criterion_main!(benches);

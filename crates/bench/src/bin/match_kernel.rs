@@ -1,6 +1,6 @@
 //! The columnar match kernel vs the naive oracle.
 //!
-//! Times [`db_match_many_kernel`] under both [`MatchKernel`]s over a grid
+//! Times [`try_db_match_many`] under both [`MatchKernel`]s over a grid
 //! of candidate-batch sizes × pattern lengths × alphabet sizes, on the same
 //! synthetic database. Candidate batches mimic an Apriori level: the first
 //! `candidates` length-`len` contiguous patterns over a small symbol subset
@@ -29,7 +29,7 @@ use std::time::Instant;
 
 use noisemine_bench::args::Args;
 use noisemine_bench::table::Table;
-use noisemine_core::matching::db_match_many_kernel;
+use noisemine_core::matching::try_db_match_many;
 use noisemine_core::pattern::Pattern;
 use noisemine_core::{simd_active, CompatibilityMatrix, MatchKernel, Symbol};
 use noisemine_datagen::noise::{channel_to_compatibility, partner_channel};
@@ -129,8 +129,10 @@ fn bench_batch(
     let candidates = patterns.len();
     // Value contract first: the fast kernel is only a valid optimization
     // if it never changes a single bit.
-    let naive_out = db_match_many_kernel(patterns, db, matrix, 1, MatchKernel::Naive);
-    let simd_out = db_match_many_kernel(patterns, db, matrix, 1, MatchKernel::Simd);
+    let naive_out = try_db_match_many(patterns, db, matrix, 1, MatchKernel::Naive, None)
+        .expect("database scan failed");
+    let simd_out = try_db_match_many(patterns, db, matrix, 1, MatchKernel::Simd, None)
+        .expect("database scan failed");
     for (i, (a, b)) in simd_out.iter().zip(&naive_out).enumerate() {
         assert!(
             a.to_bits() == b.to_bits(),
@@ -213,7 +215,8 @@ fn run(
     let mut best = f64::INFINITY;
     for _ in 0..repeat {
         let start = Instant::now();
-        let out = db_match_many_kernel(patterns, db, matrix, 1, kernel);
+        let out =
+            try_db_match_many(patterns, db, matrix, 1, kernel, None).expect("database scan failed");
         best = best.min(start.elapsed().as_secs_f64());
         std::hint::black_box(out);
     }

@@ -12,11 +12,11 @@
 //!
 //! # Observability
 //!
-//! Scans issued here route through [`crate::parallel::scan_map_reduce`],
+//! Scans issued here route through [`crate::parallel::try_scan_map_reduce`],
 //! which (when the [`noisemine_obs`] registry is enabled) counts every
 //! streamed sequence in `core_scan_sequences_total` and every dispatched
 //! block in `parallel_scan_blocks_total` — covering both the phase-1 scan
-//! and the phase-3 probe scans of [`db_match_many_threads`]. See
+//! and the phase-3 probe scans of [`try_db_match_many`]. See
 //! `docs/OBSERVABILITY.md` for the full metric reference.
 
 use crate::alphabet::Symbol;
@@ -341,112 +341,41 @@ pub fn try_db_match<S: SequenceScan + ?Sized>(
 /// Computes the match of many patterns in one scan of the database — the
 /// building block of phase 3, where a memory-budgeted set of counters is
 /// evaluated per scan (§4.3). Returns values aligned with `patterns`.
-/// Equivalent to [`db_match_many_threads`] with `threads = 0` (all cores).
-pub fn db_match_many<S: SequenceScan + ?Sized>(
-    patterns: &[Pattern],
-    db: &S,
-    matrix: &CompatibilityMatrix,
-) -> Vec<f64> {
-    db_match_many_threads(patterns, db, matrix, 0)
-}
-
-/// Fallible variant of [`db_match_many`]: surfaces scan failures from the
-/// store instead of panicking.
+///
+/// - `threads` is the worker-thread count (`0` = all available cores).
+///   The scan streams borrowed [`SequenceBlock`]s through the deterministic
+///   block pipeline of [`crate::parallel::try_scan_map_reduce`] — no
+///   per-sequence copies; a block moves to a worker and its buffer comes
+///   back for reuse. Block boundaries are the constant
+///   [`crate::parallel::SCAN_BLOCK_SIZE`] and per-block partial sums are
+///   reduced in block order, so results are bit-identical for every thread
+///   count (the thread count is purely an operational knob).
+/// - `kernel` selects the evaluation. With [`MatchKernel::Simd`] the
+///   candidate batch is loaded into one [`CandidateTrie`] (built once,
+///   shared read-only by all workers; each worker carries its own
+///   [`SimdScratch`]), so each group of eight sequence windows is walked
+///   once for the whole batch instead of once per pattern and window. The
+///   per-block accumulation order is identical to the naive path's, and
+///   each per-(pattern, sequence) value is bit-identical to
+///   [`sequence_match`], so the thread-count determinism holds across both
+///   kernels too.
+/// - `plan` is an optional [`SkipPlan`] from a positional symbol index (see
+///   [`crate::index`]). With a plan, only sequences the plan marks as
+///   candidates are evaluated; every skipped sequence's match against
+///   every pattern in the batch is provably exactly `0.0`, so omitting its
+///   `+0.0` from the per-block partial leaves the accumulated bits
+///   unchanged. Output is bit-identical to the unindexed path at every
+///   thread count (property-tested with the unindexed path as oracle in
+///   `tests/property_index.rs`).
+///
+/// The average divides by the number of sequences the scan actually
+/// visited — counted in the scan pipeline's in-order `inspect` hook, which
+/// sees every block regardless of the plan — not by the reported
+/// [`SequenceScan::num_sequences`], which keeps values in `[0, 1]` even
+/// when the store under-reports its size. A failed scan surfaces as `Err`
+/// and no partial results are returned — the probe batch must be rerun
+/// after the fault is handled.
 pub fn try_db_match_many<S: SequenceScan + ?Sized>(
-    patterns: &[Pattern],
-    db: &S,
-    matrix: &CompatibilityMatrix,
-) -> Result<Vec<f64>, ScanError> {
-    try_db_match_many_threads(patterns, db, matrix, 0)
-}
-
-/// [`db_match_many`] with an explicit worker-thread count (`0` = all
-/// available cores).
-///
-/// The scan streams borrowed [`SequenceBlock`]s through the deterministic
-/// block pipeline of [`crate::parallel::scan_map_reduce`] — no per-sequence
-/// copies; a block moves to a worker and its buffer comes back for reuse.
-/// Block boundaries are the constant [`crate::parallel::SCAN_BLOCK_SIZE`]
-/// and per-block partial sums are reduced in block order, so results are
-/// bit-identical for every thread count (the thread count is purely an
-/// operational knob). The average divides by the number of sequences the
-/// scan actually visited, which keeps values in `[0, 1]` even when the
-/// store under-reports [`SequenceScan::num_sequences`].
-pub fn db_match_many_threads<S: SequenceScan + ?Sized>(
-    patterns: &[Pattern],
-    db: &S,
-    matrix: &CompatibilityMatrix,
-    threads: usize,
-) -> Vec<f64> {
-    match try_db_match_many_threads(patterns, db, matrix, threads) {
-        Ok(v) => v,
-        Err(e) => panic!("database scan failed: {e}"),
-    }
-}
-
-/// Fallible variant of [`db_match_many_threads`]: surfaces scan failures
-/// from the store instead of panicking. On `Err`, no partial results are
-/// returned — the probe batch must be rerun after the fault is handled.
-pub fn try_db_match_many_threads<S: SequenceScan + ?Sized>(
-    patterns: &[Pattern],
-    db: &S,
-    matrix: &CompatibilityMatrix,
-    threads: usize,
-) -> Result<Vec<f64>, ScanError> {
-    try_db_match_many_kernel(patterns, db, matrix, threads, MatchKernel::default())
-}
-
-/// [`db_match_many_threads`] with an explicit [`MatchKernel`] choice. The
-/// two kernels are bit-identical; the knob exists for the reference oracle
-/// and ablation benchmarks.
-pub fn db_match_many_kernel<S: SequenceScan + ?Sized>(
-    patterns: &[Pattern],
-    db: &S,
-    matrix: &CompatibilityMatrix,
-    threads: usize,
-    kernel: MatchKernel,
-) -> Vec<f64> {
-    match try_db_match_many_kernel(patterns, db, matrix, threads, kernel) {
-        Ok(v) => v,
-        Err(e) => panic!("database scan failed: {e}"),
-    }
-}
-
-/// Fallible variant of [`db_match_many_kernel`] and the common
-/// implementation of every `db_match_many*` entry point.
-///
-/// With [`MatchKernel::Simd`] the candidate batch is loaded into one
-/// [`CandidateTrie`] (built once, shared read-only by all workers; each
-/// worker carries its own [`SimdScratch`]), so each group of eight
-/// sequence windows is walked once for the whole batch instead of once
-/// per pattern and window. The
-/// per-block accumulation order is identical to the naive path's, and each
-/// per-(pattern, sequence) value is bit-identical to [`sequence_match`], so
-/// the determinism contract of [`db_match_many_threads`] — bit-identical
-/// results at every thread count — holds across both kernels too.
-pub fn try_db_match_many_kernel<S: SequenceScan + ?Sized>(
-    patterns: &[Pattern],
-    db: &S,
-    matrix: &CompatibilityMatrix,
-    threads: usize,
-    kernel: MatchKernel,
-) -> Result<Vec<f64>, ScanError> {
-    try_db_match_many_kernel_indexed(patterns, db, matrix, threads, kernel, None)
-}
-
-/// [`try_db_match_many_kernel`] with an optional [`SkipPlan`] from a
-/// positional symbol index (see [`crate::index`]).
-///
-/// With a plan, only sequences the plan marks as candidates are evaluated;
-/// every skipped sequence's match against every pattern in the batch is
-/// provably exactly `0.0`, so omitting its `+0.0` from the per-block
-/// partial leaves the accumulated bits unchanged. Skipped sequences still
-/// count toward the Definition 3.7 denominator — the visited count comes
-/// from the scan pipeline's in-order `inspect` hook, which sees every
-/// block regardless of the plan. Output is therefore bit-identical to the
-/// unindexed path at every thread count (property-tested with the
-/// unindexed path as oracle in `tests/property_index.rs`).
-pub fn try_db_match_many_kernel_indexed<S: SequenceScan + ?Sized>(
     patterns: &[Pattern],
     db: &S,
     matrix: &CompatibilityMatrix,
@@ -1058,11 +987,11 @@ mod tests {
     }
 
     #[test]
-    fn db_match_many_agrees_with_single() {
+    fn try_db_match_many_agrees_with_single() {
         let db = fig4_db();
         let c = fig2();
         let patterns = vec![p("d1 d2"), p("d2 d1"), p("d3 d4"), p("d5 d5")];
-        let many = db_match_many(&patterns, &db, &c);
+        let many = try_db_match_many(&patterns, &db, &c, 0, MatchKernel::default(), None).unwrap();
         for (pattern, &v) in patterns.iter().zip(&many) {
             assert!((v - db_match(pattern, &db, &c)).abs() < 1e-12);
         }
@@ -1159,7 +1088,15 @@ mod tests {
         let truth = db_match(&pattern, &db.inner, &c);
         assert!((db_match(&pattern, &db, &c) - truth).abs() < 1e-15);
         assert!((db_support(&pattern, &db) - db_support(&pattern, &db.inner)).abs() < 1e-15);
-        let many = db_match_many(std::slice::from_ref(&pattern), &db, &c);
+        let many = try_db_match_many(
+            std::slice::from_ref(&pattern),
+            &db,
+            &c,
+            0,
+            MatchKernel::default(),
+            None,
+        )
+        .unwrap();
         assert!((many[0] - truth).abs() < 1e-15);
         for (got, want) in symbol_db_match(&db, &c)
             .iter()
@@ -1177,12 +1114,103 @@ mod tests {
         let pattern = p("d1 d2");
         assert_eq!(db_match(&pattern, &db, &c), 0.0);
         assert_eq!(db_support(&pattern, &db), 0.0);
-        assert_eq!(db_match_many(&[pattern], &db, &c), vec![0.0]);
+        assert_eq!(
+            try_db_match_many(&[pattern], &db, &c, 0, MatchKernel::default(), None).unwrap(),
+            vec![0.0]
+        );
         assert!(symbol_db_match(&db, &c).iter().all(|&v| v == 0.0));
     }
 
+    /// A store whose scans fail with a corrupt-record error once they have
+    /// yielded `budget` sequences in total, counted across scans.
+    struct FailingDb(Vec<Vec<Symbol>>, std::cell::Cell<usize>);
+
+    impl SequenceScan for FailingDb {
+        fn num_sequences(&self) -> usize {
+            self.0.len()
+        }
+        fn scan(&self, visit: &mut dyn FnMut(u64, &[Symbol])) {
+            self.try_scan(visit).expect("database scan failed")
+        }
+        fn try_scan(&self, visit: &mut dyn FnMut(u64, &[Symbol])) -> Result<(), ScanError> {
+            for (id, seq) in self.0.iter().enumerate() {
+                let Some(left) = self.1.get().checked_sub(1) else {
+                    let kind = crate::error::ScanErrorKind::Corrupt;
+                    return Err(ScanError::new(kind, "injected fault").at_record(id as u64));
+                };
+                self.1.set(left);
+                visit(id as u64, seq);
+            }
+            Ok(())
+        }
+    }
+
     #[test]
-    fn db_match_many_threads_is_bit_identical_across_thread_counts() {
+    fn scan_faults_surface_as_err_from_every_survivor() {
+        use crate::border_collapse::{try_collapse_with_known_kernel_indexed, ProbeStrategy};
+        use crate::parallel::{try_scan_map_reduce, SCAN_BLOCK_SIZE};
+        use rand::{Rng, SeedableRng};
+
+        let c = fig2();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        let seqs: Vec<Vec<Symbol>> = (0..1000)
+            .map(|_| {
+                let len = rng.gen_range(4..12usize);
+                (0..len).map(|_| Symbol(rng.gen_range(0..5u16))).collect()
+            })
+            .collect();
+        // Fail several blocks into a scan, so parallel workers still hold
+        // finished and in-flight blocks when the fault surfaces.
+        let failing = |scans_before: usize| {
+            let budget = scans_before * seqs.len() + 3 * SCAN_BLOCK_SIZE + 17;
+            FailingDb(seqs.clone(), budget.into())
+        };
+        let patterns = vec![p("d1 d2"), p("d2 d1"), p("d3 * d1"), p("d1 d5 d3")];
+        let mut builder = crate::index::SymbolIndexBuilder::new(c.len());
+        seqs.iter().for_each(|s| builder.add_sequence(s));
+        let index = builder.finish();
+        let plan = SkipPlan::build(&index, &patterns, &c);
+        // A known verdict plus a 2-counter budget: on a healthy store this
+        // collapse applies verdicts and needs more than one scan, so a fault
+        // on its second scan must discard the verdicts already applied.
+        let known = [(p("d1 d2"), 0.5)];
+        let collapse = |db: &dyn SequenceScan, threads, ix| {
+            let space = crate::lattice::AmbiguousSpace::new(patterns.clone());
+            let strategy = ProbeStrategy::BorderCollapsing;
+            let kernel = MatchKernel::default();
+            try_collapse_with_known_kernel_indexed(
+                space, &known, db, &c, 0.1, 2, strategy, threads, kernel, ix,
+            )
+        };
+        let clean = collapse(&MemorySequences(seqs.clone()), 1, None).unwrap();
+        assert!(clean.scans >= 2, "{} scans", clean.scans);
+
+        for threads in [1, 4] {
+            for kernel in [MatchKernel::Naive, MatchKernel::Simd] {
+                for plan in [None, Some(&plan)] {
+                    let got = try_db_match_many(&patterns, &failing(0), &c, threads, kernel, plan);
+                    let desc = format!("threads {threads}, {kernel:?}, plan {}", plan.is_some());
+                    assert!(got.is_err(), "{desc}: {got:?}");
+                }
+            }
+            let blocks =
+                try_scan_map_reduce(&failing(0), 64, threads, &mut |_| {}, &|| (), &|_, _, b| {
+                    b.len()
+                });
+            assert!(blocks.is_err(), "threads {threads}: {blocks:?}");
+            for ix in [None, Some(&index)] {
+                let got = collapse(&failing(1), threads, ix);
+                assert!(
+                    got.is_err(),
+                    "threads {threads}, index {}: {got:?}",
+                    ix.is_some()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn try_db_match_many_is_bit_identical_across_thread_counts() {
         let db = MemorySequences(
             (0..700u16)
                 .map(|i| (0..12).map(|j| Symbol((i + j) % 5)).collect())
@@ -1190,11 +1218,12 @@ mod tests {
         );
         let c = fig2();
         let patterns = vec![p("d1 d2"), p("d2 d1"), p("d3 d4"), p("d2 * d1")];
-        let serial = db_match_many_threads(&patterns, &db, &c, 1);
+        let kernel = MatchKernel::default();
+        let serial = try_db_match_many(&patterns, &db, &c, 1, kernel, None).unwrap();
         for threads in [2, 3, 8] {
             assert_eq!(
                 serial,
-                db_match_many_threads(&patterns, &db, &c, threads),
+                try_db_match_many(&patterns, &db, &c, threads, kernel, None).unwrap(),
                 "threads = {threads}"
             );
         }

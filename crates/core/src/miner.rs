@@ -304,67 +304,31 @@ impl SequentialSampler {
 /// Runs phase 1 (Algorithm 4.1): one scan computing every symbol's match
 /// and drawing a uniform sample of up to `sample_size` sequences using
 /// sequential sampling (choose the `i`-th sequence with probability
-/// `(n − j) / (N − i)` given `j` already chosen). Equivalent to
-/// [`phase1_threads`] with `threads = 0` (all cores).
-pub fn phase1<S: SequenceScan + ?Sized>(
-    db: &S,
-    matrix: &CompatibilityMatrix,
-    sample_size: usize,
-    rng: &mut impl Rng,
-) -> Phase1Output {
-    phase1_threads(db, matrix, sample_size, rng, 0)
-}
-
-/// [`phase1`] with an explicit worker-thread count (`0` = all available
-/// cores).
+/// `(n − j) / (N − i)` given `j` already chosen).
 ///
-/// The scan streams blocks of [`SCAN_BLOCK_SIZE`] sequences through
-/// [`scan_map_reduce`](crate::parallel::scan_map_reduce): per-symbol
-/// matches accumulate on worker threads
-/// (one [`SymbolMatchScratch`] per worker) into per-block partial sums that
-/// are reduced in block order, while sequential sampling runs on the
-/// in-order block stream *before* the fan-out — so both the symbol matches
-/// and the seeded sample are bit-identical at every thread count. The final
-/// average divides by the number of sequences actually visited, not the
-/// reported count, and the sampler falls back to reservoir replacement past
-/// the reported count, so a database appended to mid-scan yields a
-/// full-quota sample and in-range match values instead of a panic.
-pub fn phase1_threads<S: SequenceScan + ?Sized>(
-    db: &S,
-    matrix: &CompatibilityMatrix,
-    sample_size: usize,
-    rng: &mut impl Rng,
-    threads: usize,
-) -> Phase1Output {
-    match try_phase1_threads(db, matrix, sample_size, rng, threads) {
-        Ok(out) => out,
-        Err(e) => panic!("database scan failed: {e}"),
-    }
-}
-
-/// Fallible variant of [`phase1_threads`]: surfaces scan failures from the
-/// store instead of panicking. On `Err` no partial phase-1 output escapes —
-/// both the sample and the symbol matches are discarded, since a partial
-/// scan would bias them.
-pub fn try_phase1_threads<S: SequenceScan + ?Sized>(
-    db: &S,
-    matrix: &CompatibilityMatrix,
-    sample_size: usize,
-    rng: &mut impl Rng,
-    threads: usize,
-) -> std::result::Result<Phase1Output, ScanError> {
-    try_phase1_threads_indexed(db, matrix, sample_size, rng, threads, false).map(|(p1, _)| p1)
-}
-
-/// [`try_phase1_threads`] that additionally builds a [`SymbolIndex`] over
-/// the scanned database when `build_index` is set.
+/// `threads` is the worker-thread count (`0` = all available cores). The
+/// scan streams blocks of [`SCAN_BLOCK_SIZE`] sequences through
+/// [`try_scan_map_reduce`]: per-symbol matches accumulate on worker
+/// threads (one [`SymbolMatchScratch`] per worker) into per-block partial
+/// sums that are reduced in block order, while sequential sampling runs on
+/// the in-order block stream *before* the fan-out — so both the symbol
+/// matches and the seeded sample are bit-identical at every thread count.
+/// The final average divides by the number of sequences actually visited,
+/// not the reported count, and the sampler falls back to reservoir
+/// replacement past the reported count, so a database appended to
+/// mid-scan yields a full-quota sample and in-range match values instead
+/// of a panic.
 ///
-/// The index is assembled in the in-order `inspect` hook alongside the
-/// sequential sampler, so it costs no extra scan and records every
-/// sequence in scan order — ordinal `i` in the index is the `i`-th
-/// sequence the scan yields, the addressing scheme the indexed match path
-/// expects. Phase 1 itself never *uses* an index: both the sampler and the
-/// symbol matches must see every sequence.
+/// With `build_index` set, a [`SymbolIndex`] over the scanned database is
+/// assembled in the same in-order hook as the sampler, so it costs no
+/// extra scan and records every sequence in scan order — ordinal `i` in
+/// the index is the `i`-th sequence the scan yields, the addressing scheme
+/// the indexed match path expects. Phase 1 itself never *uses* an index:
+/// both the sampler and the symbol matches must see every sequence.
+///
+/// A failed scan surfaces as `Err` and no partial phase-1 output escapes —
+/// the sample, the symbol matches and the index are discarded, since a
+/// partial scan would bias them.
 pub fn try_phase1_threads_indexed<S: SequenceScan + ?Sized>(
     db: &S,
     matrix: &CompatibilityMatrix,
@@ -468,7 +432,7 @@ pub fn mine_indexed<S: SequenceScan + ?Sized>(
     span.finish();
 
     let index = supplied.or(built.as_ref());
-    let mut outcome = mine_from_phase1_with_known_indexed(db, matrix, config, &p1, &[], index)?.0;
+    let mut outcome = mine_from_phase1(db, matrix, config, &p1, &[], index)?.0;
     outcome.stats.db_scans += 1;
     outcome.stats.phase1_time = phase1_time;
     Ok(outcome)
@@ -481,40 +445,18 @@ pub fn mine_indexed<S: SequenceScan + ?Sized>(
 /// `noisemine-stream`) calls this to re-mine without touching phase 1.
 /// `stats.db_scans` counts only phase-3 scans and `stats.phase1_time` stays
 /// zero; [`mine`] adds its own phase-1 contribution on top.
-pub fn mine_from_phase1<S: SequenceScan + ?Sized>(
-    db: &S,
-    matrix: &CompatibilityMatrix,
-    config: &MinerConfig,
-    p1: &Phase1Output,
-) -> Result<MineOutcome> {
-    Ok(mine_from_phase1_with_known(db, matrix, config, p1, &[])?.0)
-}
-
-/// [`mine_from_phase1`] with pre-verified exact matches for phase 3.
 ///
 /// `known` pairs patterns with their *exact database match*, maintained
-/// online by the caller; phase 3 applies them through
-/// [`collapse_with_known`](crate::border_collapse::collapse_with_known) so
-/// previously verified patterns collapse their
-/// region of the ambiguous space with zero scans. Also returns the raw
-/// phase-3 [`CollapseResult`] so an incremental caller can adopt the
-/// probed FQT/INFQT border patterns (with their exact matches) as its next
-/// tracked set.
-pub fn mine_from_phase1_with_known<S: SequenceScan + ?Sized>(
-    db: &S,
-    matrix: &CompatibilityMatrix,
-    config: &MinerConfig,
-    p1: &Phase1Output,
-    known: &[(Pattern, f64)],
-) -> Result<(MineOutcome, CollapseResult)> {
-    mine_from_phase1_with_known_indexed(db, matrix, config, p1, known, None)
-}
-
-/// [`mine_from_phase1_with_known`] with an optional [`SymbolIndex`] over
-/// `db` for the phase-3 probe scans (see [`crate::index`]). The index is
-/// purely operational: verdicts and match values are bit-identical with
-/// and without it.
-pub fn mine_from_phase1_with_known_indexed<S: SequenceScan + ?Sized>(
+/// online by the caller (`&[]` when there are none); phase 3 applies them
+/// through [`try_collapse_with_known_kernel_indexed`] so previously
+/// verified patterns collapse their region of the ambiguous space with
+/// zero scans. `index` is an optional [`SymbolIndex`] over `db` for the
+/// phase-3 probe scans (see [`crate::index`]); it is purely operational:
+/// verdicts and match values are bit-identical with and without it. Also
+/// returns the raw phase-3 [`CollapseResult`] so an incremental caller can
+/// adopt the probed FQT/INFQT border patterns (with their exact matches)
+/// as its next tracked set.
+pub fn mine_from_phase1<S: SequenceScan + ?Sized>(
     db: &S,
     matrix: &CompatibilityMatrix,
     config: &MinerConfig,
@@ -663,7 +605,8 @@ mod tests {
         let database = db();
         let matrix = CompatibilityMatrix::paper_figure2();
         let mut rng = StdRng::seed_from_u64(1);
-        let out = phase1(&database, &matrix, 3, &mut rng);
+        let (out, _) =
+            try_phase1_threads_indexed(&database, &matrix, 3, &mut rng, 0, false).unwrap();
         assert_eq!(out.sample.len(), 3);
         assert_eq!(out.symbol_match.len(), 5);
         // Every sampled sequence is from the database.
@@ -682,7 +625,8 @@ mod tests {
         let database = db();
         let matrix = CompatibilityMatrix::paper_figure2();
         let mut rng = StdRng::seed_from_u64(1);
-        let out = phase1(&database, &matrix, 100, &mut rng);
+        let (out, _) =
+            try_phase1_threads_indexed(&database, &matrix, 100, &mut rng, 0, false).unwrap();
         assert_eq!(out.sample.len(), 6);
         // With the sample being the whole DB, sampling is order-preserving.
         assert_eq!(out.sample, database.0);
@@ -800,7 +744,9 @@ mod tests {
         };
         for requested in [1usize, 2, 4, 6, 10] {
             let mut rng = StdRng::seed_from_u64(9);
-            let out = phase1(&database, &matrix, requested, &mut rng);
+            let (out, _) =
+                try_phase1_threads_indexed(&database, &matrix, requested, &mut rng, 0, false)
+                    .unwrap();
             assert_eq!(
                 out.sample.len(),
                 requested.min(6),
@@ -816,7 +762,8 @@ mod tests {
         // Matches divide by the visited count, so they equal the honest
         // full-database values.
         let mut rng = StdRng::seed_from_u64(3);
-        let out = phase1(&database, &matrix, 3, &mut rng);
+        let (out, _) =
+            try_phase1_threads_indexed(&database, &matrix, 3, &mut rng, 0, false).unwrap();
         let expect = crate::matching::symbol_db_match(&database.inner, &matrix);
         for (a, b) in out.symbol_match.iter().zip(&expect) {
             assert!((a - b).abs() < 1e-12);
@@ -845,7 +792,7 @@ mod tests {
     }
 
     #[test]
-    fn phase1_threads_bit_identical_across_thread_counts() {
+    fn try_phase1_threads_indexed_bit_identical_across_thread_counts() {
         // Enough sequences for several scan blocks.
         let a = Alphabet::synthetic(5);
         let seqs: Vec<Vec<Symbol>> = (0..600u16)
@@ -855,10 +802,13 @@ mod tests {
         let matrix = CompatibilityMatrix::paper_figure2();
         let _ = a;
         let mut rng = StdRng::seed_from_u64(77);
-        let serial = phase1_threads(&database, &matrix, 40, &mut rng, 1);
+        let (serial, _) =
+            try_phase1_threads_indexed(&database, &matrix, 40, &mut rng, 1, false).unwrap();
         for threads in [2, 3, 8] {
             let mut rng = StdRng::seed_from_u64(77);
-            let par = phase1_threads(&database, &matrix, 40, &mut rng, threads);
+            let (par, _) =
+                try_phase1_threads_indexed(&database, &matrix, 40, &mut rng, threads, false)
+                    .unwrap();
             assert_eq!(serial.symbol_match, par.symbol_match, "threads = {threads}");
             assert_eq!(serial.sample, par.sample, "threads = {threads}");
         }

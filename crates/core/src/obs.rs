@@ -118,7 +118,7 @@ counter!(
 counter!(
     collapse_known_applied,
     "core_collapse_known_applied_total",
-    "Pre-verified exact matches applied by collapse_with_known without any scan (incremental reuse)",
+    "Pre-verified exact matches applied by phase 3 without any scan (incremental reuse)",
     "patterns"
 );
 

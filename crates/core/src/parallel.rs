@@ -10,7 +10,7 @@
 //! (including 1). Chunk boundaries are a constant, not a function of the
 //! thread count, which is what makes the reduction order stable.
 //!
-//! [`scan_map_reduce`] extends the same determinism contract to streaming
+//! [`try_scan_map_reduce`] extends the same determinism contract to streaming
 //! scans over a [`SequenceScan`]: the scan is cut into blocks of exactly
 //! [`SCAN_BLOCK_SIZE`] sequences, per-block results are computed on worker
 //! threads, and the caller receives them **in block order** — so any fold
@@ -32,7 +32,7 @@ use crate::Symbol;
 /// the floating-point reduction order) do not depend on the thread count.
 pub const CHUNK_SIZE: usize = 64;
 
-/// Sequences per scan block in [`scan_map_reduce`]. Like [`CHUNK_SIZE`],
+/// Sequences per scan block in [`try_scan_map_reduce`]. Like [`CHUNK_SIZE`],
 /// this is a constant so the per-block accumulation grouping — and with it
 /// every floating-point result derived from a block scan — is independent
 /// of machine, thread count, and backing store.
@@ -69,29 +69,11 @@ pub fn resolve_threads(threads: usize) -> usize {
 /// thread with the same block grouping. Blocks circulate by value — worker
 /// → scanner → refill — so the steady state allocates nothing and never
 /// copies a sequence out of its block.
-pub fn scan_map_reduce<S, W, T>(
-    db: &S,
-    block_size: usize,
-    threads: usize,
-    inspect: &mut dyn FnMut(&SequenceBlock),
-    make_scratch: &(dyn Fn() -> W + Sync),
-    map: &(dyn Fn(&mut W, usize, &SequenceBlock) -> T + Sync),
-) -> Vec<T>
-where
-    S: SequenceScan + ?Sized,
-    T: Send,
-{
-    match try_scan_map_reduce(db, block_size, threads, inspect, make_scratch, map) {
-        Ok(results) => results,
-        Err(e) => panic!("database scan failed: {e}"),
-    }
-}
-
-/// Fallible variant of [`scan_map_reduce`]: if the underlying scan fails
-/// ([`SequenceScan::try_scan_blocks`] returns `Err`), in-flight worker
-/// results are drained and discarded and the scan error is returned. No
-/// partial per-block results escape — a failed scan yields `Err`, never a
-/// shortened result vector.
+///
+/// If the underlying scan fails ([`SequenceScan::try_scan_blocks`] returns
+/// `Err`), in-flight worker results are drained and discarded and the scan
+/// error is returned. No partial per-block results escape — a failed scan
+/// yields `Err`, never a shortened result vector.
 pub fn try_scan_map_reduce<S, W, T>(
     db: &S,
     block_size: usize,
@@ -195,17 +177,6 @@ fn store<T>(slots: &mut Vec<Option<T>>, idx: usize, value: T) {
 /// up to `threads` worker threads. Returns sums (not means) aligned with
 /// `patterns`. The accumulation grouping is fixed by [`CHUNK_SIZE`], not by
 /// the thread count, so every thread count produces bit-identical results.
-/// Equivalent to [`sum_sequence_matches_kernel`] with the default kernel.
-pub fn sum_sequence_matches(
-    patterns: &[Pattern],
-    sequences: &[Vec<Symbol>],
-    matrix: &CompatibilityMatrix,
-    threads: usize,
-) -> Vec<f64> {
-    sum_sequence_matches_kernel(patterns, sequences, matrix, threads, MatchKernel::default())
-}
-
-/// [`sum_sequence_matches`] with an explicit [`MatchKernel`] choice.
 ///
 /// With [`MatchKernel::Simd`] the pattern batch is loaded into one
 /// [`CandidateTrie`] shared read-only by every worker (each with private
@@ -213,7 +184,7 @@ pub fn sum_sequence_matches(
 /// [`sequence_match`] and the [`CHUNK_SIZE`] accumulation grouping is
 /// unchanged, so both kernels produce bit-identical sums at every thread
 /// count.
-pub fn sum_sequence_matches_kernel(
+pub fn sum_sequence_matches(
     patterns: &[Pattern],
     sequences: &[Vec<Symbol>],
     matrix: &CompatibilityMatrix,
@@ -372,9 +343,16 @@ mod tests {
     #[test]
     fn parallel_equals_serial_bit_for_bit() {
         let (patterns, sequences, matrix) = workload();
-        let serial = sum_sequence_matches(&patterns, &sequences, &matrix, 1);
+        let serial =
+            sum_sequence_matches(&patterns, &sequences, &matrix, 1, MatchKernel::default());
         for threads in [2, 3, 8] {
-            let parallel = sum_sequence_matches(&patterns, &sequences, &matrix, threads);
+            let parallel = sum_sequence_matches(
+                &patterns,
+                &sequences,
+                &matrix,
+                threads,
+                MatchKernel::default(),
+            );
             assert_eq!(serial, parallel, "threads = {threads}");
         }
     }
@@ -382,7 +360,7 @@ mod tests {
     #[test]
     fn agrees_with_direct_computation() {
         let (patterns, sequences, matrix) = workload();
-        let sums = sum_sequence_matches(&patterns, &sequences, &matrix, 4);
+        let sums = sum_sequence_matches(&patterns, &sequences, &matrix, 4, MatchKernel::default());
         for (p, &s) in patterns.iter().zip(&sums).take(5) {
             let direct: f64 = sequences
                 .iter()
@@ -395,10 +373,12 @@ mod tests {
     #[test]
     fn empty_inputs() {
         let (_, sequences, matrix) = workload();
-        assert!(sum_sequence_matches(&[], &sequences, &matrix, 4).is_empty());
+        assert!(
+            sum_sequence_matches(&[], &sequences, &matrix, 4, MatchKernel::default()).is_empty()
+        );
         let (patterns, _, matrix2) = workload();
         assert_eq!(
-            sum_sequence_matches(&patterns, &[], &matrix2, 4),
+            sum_sequence_matches(&patterns, &[], &matrix2, 4, MatchKernel::default()),
             vec![0.0; patterns.len()]
         );
     }
@@ -407,25 +387,26 @@ mod tests {
     fn small_work_takes_serial_path() {
         let (patterns, sequences, matrix) = workload();
         let tiny = &sequences[..2];
-        let v = sum_sequence_matches(&patterns[..2], tiny, &matrix, 8);
+        let v = sum_sequence_matches(&patterns[..2], tiny, &matrix, 8, MatchKernel::default());
         assert_eq!(v.len(), 2);
     }
 
     #[test]
-    fn scan_map_reduce_returns_results_in_block_order() {
+    fn try_scan_map_reduce_returns_results_in_block_order() {
         let db = crate::matching::MemorySequences(
             (0..1000u16).map(|i| vec![Symbol(i % 6); 2]).collect(),
         );
         for threads in [1, 2, 3, 8] {
             let mut inspected = Vec::new();
-            let ids = scan_map_reduce(
+            let ids = try_scan_map_reduce(
                 &db,
                 64,
                 threads,
                 &mut |block| inspected.push(block.get(0).0),
                 &|| (),
                 &|_, _, block| block.iter().map(|(id, _)| id).collect::<Vec<u64>>(),
-            );
+            )
+            .unwrap();
             let flat: Vec<u64> = ids.into_iter().flatten().collect();
             assert_eq!(
                 flat,
@@ -438,12 +419,12 @@ mod tests {
     }
 
     #[test]
-    fn scan_map_reduce_serial_and_parallel_agree_bitwise() {
+    fn try_scan_map_reduce_serial_and_parallel_agree_bitwise() {
         let (_, sequences, matrix) = workload();
         let db = crate::matching::MemorySequences(sequences);
         let pattern = Pattern::contiguous(&[Symbol(1), Symbol(2)]).unwrap();
         let run = |threads: usize| -> Vec<f64> {
-            scan_map_reduce(
+            try_scan_map_reduce(
                 &db,
                 SCAN_BLOCK_SIZE,
                 threads,
@@ -456,6 +437,7 @@ mod tests {
                         .sum::<f64>()
                 },
             )
+            .unwrap()
         };
         let serial = run(1);
         for threads in [2, 4, 16] {
@@ -464,9 +446,10 @@ mod tests {
     }
 
     #[test]
-    fn scan_map_reduce_on_empty_db() {
+    fn try_scan_map_reduce_on_empty_db() {
         let db = crate::matching::MemorySequences(Vec::new());
-        let out = scan_map_reduce(&db, 8, 4, &mut |_| {}, &|| (), &|_, _, block| block.len());
+        let out = try_scan_map_reduce(&db, 8, 4, &mut |_| {}, &|| (), &|_, _, block| block.len())
+            .unwrap();
         assert!(out.is_empty());
     }
 }

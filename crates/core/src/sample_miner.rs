@@ -63,59 +63,13 @@ impl SampleMineResult {
 ///   used for the restricted spread of Claim 4.2;
 /// - `min_match`: the user threshold; `delta`: Chernoff failure probability;
 /// - `spread_mode`: full (`R = 1`) or restricted spread;
-/// - `space`: bounds of the enumerated pattern space.
-pub fn mine_sample(
-    sample: &[Vec<Symbol>],
-    matrix: &CompatibilityMatrix,
-    symbol_match: &[f64],
-    min_match: f64,
-    delta: f64,
-    spread_mode: SpreadMode,
-    space: &PatternSpace,
-) -> SampleMineResult {
-    mine_sample_budgeted(
-        sample,
-        matrix,
-        symbol_match,
-        min_match,
-        delta,
-        spread_mode,
-        space,
-        DEFAULT_MAX_SAMPLE_PATTERNS,
-    )
-}
-
-/// [`mine_sample`] with an explicit candidate budget (see
-/// [`DEFAULT_MAX_SAMPLE_PATTERNS`] for why a budget exists).
-#[allow(clippy::too_many_arguments)]
-pub fn mine_sample_budgeted(
-    sample: &[Vec<Symbol>],
-    matrix: &CompatibilityMatrix,
-    symbol_match: &[f64],
-    min_match: f64,
-    delta: f64,
-    spread_mode: SpreadMode,
-    space: &PatternSpace,
-    max_patterns: usize,
-) -> SampleMineResult {
-    mine_sample_budgeted_kernel(
-        sample,
-        matrix,
-        symbol_match,
-        min_match,
-        delta,
-        spread_mode,
-        space,
-        max_patterns,
-        MatchKernel::default(),
-    )
-}
-
-/// [`mine_sample_budgeted`] with an explicit [`MatchKernel`] for the
-/// level-wise candidate evaluation. The kernels produce identical values
-/// (see [`crate::match_kernel`]; the columnar simd kernel is held to the
-/// naive scan within a zero-ULP contract); the knob selects the reference
-/// oracle for equivalence testing and ablation.
+/// - `space`: bounds of the enumerated pattern space;
+/// - `max_patterns`: the candidate budget (see
+///   [`DEFAULT_MAX_SAMPLE_PATTERNS`] for why a budget exists);
+/// - `kernel`: the level-wise candidate evaluation. The kernels produce
+///   identical values (see [`crate::match_kernel`]; the columnar simd
+///   kernel is held to the naive scan within a zero-ULP contract); the knob
+///   selects the reference oracle for equivalence testing and ablation.
 #[allow(clippy::too_many_arguments)]
 pub fn mine_sample_budgeted_kernel(
     sample: &[Vec<Symbol>],
@@ -247,7 +201,7 @@ fn sample_matches(
 ) -> Vec<f64> {
     let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
     let mut totals =
-        crate::parallel::sum_sequence_matches_kernel(patterns, sample, matrix, threads, kernel);
+        crate::parallel::sum_sequence_matches(patterns, sample, matrix, threads, kernel);
     for t in &mut totals {
         *t /= n as f64;
     }
@@ -312,7 +266,7 @@ mod tests {
         let (sample, matrix) = sample_db();
         let symbol_match = [0.7, 0.8, 0.3875, 0.425, 0.075];
         let space = PatternSpace::contiguous(4);
-        let r = mine_sample(
+        let r = mine_sample_budgeted_kernel(
             &sample,
             &matrix,
             &symbol_match,
@@ -320,6 +274,8 @@ mod tests {
             0.01,
             SpreadMode::Restricted,
             &space,
+            DEFAULT_MAX_SAMPLE_PATTERNS,
+            MatchKernel::default(),
         );
         assert!(!r.labels.is_empty());
         // frequent + ambiguous sets are consistent with the label map.
@@ -344,7 +300,7 @@ mod tests {
         let db = MemorySequences(sample.clone());
         let symbol_match = crate::matching::symbol_db_match(&db, &matrix);
         let space = PatternSpace::contiguous(3);
-        let r = mine_sample(
+        let r = mine_sample_budgeted_kernel(
             &sample,
             &matrix,
             &symbol_match,
@@ -352,6 +308,8 @@ mod tests {
             0.001,
             SpreadMode::Restricted,
             &space,
+            DEFAULT_MAX_SAMPLE_PATTERNS,
+            MatchKernel::default(),
         );
         for (p, (v, _)) in &r.labels {
             let exact = db_match(p, &db, &matrix);
@@ -370,7 +328,7 @@ mod tests {
         let min_match = 0.2;
         let delta = 0.05;
         let space = PatternSpace::contiguous(3);
-        let r = mine_sample(
+        let r = mine_sample_budgeted_kernel(
             &sample,
             &matrix,
             &symbol_match,
@@ -378,6 +336,8 @@ mod tests {
             delta,
             SpreadMode::Restricted,
             &space,
+            DEFAULT_MAX_SAMPLE_PATTERNS,
+            MatchKernel::default(),
         );
         for (p, v) in &r.frequent {
             let spread = SpreadMode::Restricted.spread(p, &symbol_match);
@@ -396,7 +356,7 @@ mod tests {
         let (sample, matrix) = sample_db();
         let symbol_match = [0.7, 0.8, 0.3875, 0.425, 0.075];
         let space = PatternSpace::contiguous(3);
-        let full = mine_sample(
+        let full = mine_sample_budgeted_kernel(
             &sample,
             &matrix,
             &symbol_match,
@@ -404,8 +364,10 @@ mod tests {
             0.01,
             SpreadMode::Full,
             &space,
+            DEFAULT_MAX_SAMPLE_PATTERNS,
+            MatchKernel::default(),
         );
-        let restricted = mine_sample(
+        let restricted = mine_sample_budgeted_kernel(
             &sample,
             &matrix,
             &symbol_match,
@@ -413,6 +375,8 @@ mod tests {
             0.01,
             SpreadMode::Restricted,
             &space,
+            DEFAULT_MAX_SAMPLE_PATTERNS,
+            MatchKernel::default(),
         );
         assert!(restricted.ambiguous_count() <= full.ambiguous_count());
     }
@@ -426,7 +390,7 @@ mod tests {
         let (sample, matrix) = sample_db();
         let tiny: Vec<_> = sample.into_iter().take(2).collect();
         let symbol_match = [0.9; 5];
-        let r = mine_sample_budgeted(
+        let r = mine_sample_budgeted_kernel(
             &tiny,
             &matrix,
             &symbol_match,
@@ -435,6 +399,7 @@ mod tests {
             SpreadMode::Restricted,
             &PatternSpace::contiguous(64),
             100_000,
+            MatchKernel::default(),
         );
         assert!(r.truncated, "divergence guard did not trip");
         // Only level 1 was evaluated.
@@ -445,7 +410,7 @@ mod tests {
     fn empty_sample_yields_no_frequent_patterns() {
         let matrix = CompatibilityMatrix::paper_figure2();
         let symbol_match = [0.0; 5];
-        let r = mine_sample(
+        let r = mine_sample_budgeted_kernel(
             &[],
             &matrix,
             &symbol_match,
@@ -453,6 +418,8 @@ mod tests {
             0.01,
             SpreadMode::Full,
             &PatternSpace::contiguous(3),
+            DEFAULT_MAX_SAMPLE_PATTERNS,
+            MatchKernel::default(),
         );
         assert!(r.frequent.is_empty());
     }

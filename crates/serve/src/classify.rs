@@ -1,17 +1,17 @@
 //! The serving hot path: scoring a batch of sequences against a compiled
 //! model, bit-identical to the offline miner.
 //!
-//! [`classify`] reproduces [`db_match_many`]'s exact floating-point
+//! [`classify`] reproduces [`try_db_match_many`]'s exact floating-point
 //! reduction: per-sequence scores come from the shared columnar
 //! [`CandidateTrie::batch_sequence_match_columnar`] kernel (itself
 //! bit-identical to per-pattern `sequence_match`), and the Def-3.7
 //! database match is accumulated in [`SCAN_BLOCK_SIZE`]-sequence blocks
 //! whose partial sums are reduced in block order — the workspace's
 //! determinism contract. A request served online therefore scores
-//! **bit-for-bit** what an offline `db_match_many` over the same sequences
+//! **bit-for-bit** what an offline `try_db_match_many` over the same sequences
 //! would report, at any thread count on either side.
 //!
-//! [`db_match_many`]: noisemine_core::matching::db_match_many
+//! [`try_db_match_many`]: noisemine_core::matching::try_db_match_many
 //! [`CandidateTrie::batch_sequence_match_columnar`]: noisemine_core::CandidateTrie::batch_sequence_match_columnar
 //! [`SCAN_BLOCK_SIZE`]: noisemine_core::parallel::SCAN_BLOCK_SIZE
 
@@ -66,8 +66,8 @@ pub fn classify_with(
     let matrix = &model.spec.matrix;
     let mut scratch = trie.simd_scratch();
     let mut out = vec![0.0f64; p];
-    // Block-ordered reduction: identical to try_db_match_many_kernel's
-    // scan_map_reduce over SCAN_BLOCK_SIZE-sequence blocks.
+    // Block-ordered reduction: identical to try_db_match_many's
+    // try_scan_map_reduce over SCAN_BLOCK_SIZE-sequence blocks.
     for block in sequences.chunks(SCAN_BLOCK_SIZE) {
         let mut partial = vec![0.0f64; p];
         for seq in block {
@@ -107,7 +107,7 @@ pub fn classify_with(
 mod tests {
     use super::*;
     use noisemine_core::lattice::Border;
-    use noisemine_core::matching::{db_match_many, MemorySequences};
+    use noisemine_core::matching::{try_db_match_many, MemorySequences};
     use noisemine_core::miner::{FrequentPattern, MineOutcome, MineStats, Provenance};
     use noisemine_core::{Alphabet, CompatibilityMatrix, Pattern, PatternModel};
 
@@ -162,11 +162,15 @@ mod tests {
         let model = toy_model(7);
         let seqs = toy_sequences(600, 24, 8);
         let result = classify(&model, &seqs);
-        let offline = db_match_many(
+        let offline = try_db_match_many(
             &model.patterns,
             &MemorySequences(seqs.clone()),
             &model.spec.matrix,
-        );
+            0,
+            MatchKernel::default(),
+            None,
+        )
+        .unwrap();
         assert_eq!(result.db_match.len(), offline.len());
         for (i, (a, b)) in result.db_match.iter().zip(&offline).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "pattern {i}: {a} vs {b}");

@@ -16,7 +16,7 @@
 //!   ArcSwap-style `Mutex<Arc<ServeModel>>` epoch pointer; in-flight
 //!   requests finish on the model they started with.
 //! - [`classify`](mod@classify) — the scoring hot path, **bit-identical**
-//!   to offline [`db_match_many`] over the same sequences (same columnar
+//!   to offline [`try_db_match_many`] over the same sequences (same columnar
 //!   match kernel, same block-ordered float reduction).
 //! - [`admission`] — deterministic per-tenant token buckets; exhausted
 //!   quota answers HTTP 429.
@@ -44,7 +44,7 @@
 //!
 //! See `docs/SERVING.md` for the API reference and operational notes.
 //!
-//! [`db_match_many`]: noisemine_core::matching::db_match_many
+//! [`try_db_match_many`]: noisemine_core::matching::try_db_match_many
 
 pub mod admission;
 pub mod catalog;

@@ -10,9 +10,9 @@ use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use noisemine_core::matching::{db_match_many, MemorySequences};
+use noisemine_core::matching::{try_db_match_many, MemorySequences};
 use noisemine_core::miner::{mine, MinerConfig};
-use noisemine_core::{Alphabet, PatternModel, PatternSpace, Symbol};
+use noisemine_core::{Alphabet, MatchKernel, PatternModel, PatternSpace, Symbol};
 use noisemine_datagen::{ProteinWorkload, ProteinWorkloadConfig};
 use noisemine_seqdb::MemoryDb;
 use noisemine_serve::json::{self, Value};
@@ -71,16 +71,20 @@ fn tmp_catalog(name: &str) -> Catalog {
 
 /// Asserts the serving guarantee: whatever model the registry hands out
 /// right now classifies `batch` bit-identically to the offline
-/// `db_match_many` over the same patterns and matrix. A torn or corrupt
+/// `try_db_match_many` over the same patterns and matrix. A torn or corrupt
 /// model could not satisfy this.
 fn assert_bit_identical(registry: &ModelRegistry, batch: &[Vec<Symbol>]) -> u64 {
     let model = registry.model("t").expect("tenant serves a model");
     let online = noisemine_serve::classify(&model, batch);
-    let offline = db_match_many(
+    let offline = try_db_match_many(
         &model.patterns,
         &MemorySequences(batch.to_vec()),
         &model.spec.matrix,
-    );
+        0,
+        MatchKernel::default(),
+        None,
+    )
+    .unwrap();
     for (i, (a, b)) in online.db_match.iter().zip(&offline).enumerate() {
         assert_eq!(
             a.to_bits(),
@@ -383,11 +387,15 @@ fn http_traffic_drives_drift_remine_and_self_swap() {
 
     // Offline reference for the initial model over the probe batch.
     let batch: Vec<Vec<Symbol>> = fx.clean.iter().take(16).cloned().collect();
-    let offline_v5 = db_match_many(
+    let offline_v5 = try_db_match_many(
         &ServeModel::compile(fx.model.clone()).patterns,
         &MemorySequences(batch.clone()),
         &fx.model.matrix,
-    );
+        0,
+        MatchKernel::default(),
+        None,
+    )
+    .unwrap();
     let probe = classify_body("t", &batch, &fx.workload.alphabet);
 
     // Clean traffic anchors the baseline (every response must be a 200 —
@@ -444,11 +452,15 @@ fn http_traffic_drives_drift_remine_and_self_swap() {
     assert!(version >= new_version, "serving downgraded to v{version}");
     let cat_model =
         noisemine_serve::read_model(cat.model_path("t", version)).expect("artifact persisted");
-    let offline_new = db_match_many(
+    let offline_new = try_db_match_many(
         &ServeModel::compile(cat_model.clone()).patterns,
         &MemorySequences(batch.clone()),
         &cat_model.matrix,
-    );
+        0,
+        MatchKernel::default(),
+        None,
+    )
+    .unwrap();
     for (i, (a, b)) in scores.iter().zip(&offline_new).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "v{version} pattern {i} diverged");
     }

@@ -4,9 +4,11 @@
 
 use std::path::PathBuf;
 
-use noisemine_core::matching::{db_match_many, MemorySequences};
+use noisemine_core::matching::{try_db_match_many, MemorySequences};
 use noisemine_core::miner::{mine, MinerConfig};
-use noisemine_core::{Alphabet, CompatibilityMatrix, PatternModel, PatternSpace, Symbol};
+use noisemine_core::{
+    Alphabet, CompatibilityMatrix, MatchKernel, PatternModel, PatternSpace, Symbol,
+};
 use noisemine_datagen::{ProteinWorkload, ProteinWorkloadConfig};
 use noisemine_seqdb::{FaultPlan, MemoryDb};
 use noisemine_serve::{
@@ -141,7 +143,15 @@ fn loaded_model_classifies_bit_identical_to_db_match_many() {
     std::fs::remove_file(&path).ok();
 
     let online = classify(&serve, &noisy);
-    let offline = db_match_many(&serve.patterns, &MemorySequences(noisy.clone()), &matrix);
+    let offline = try_db_match_many(
+        &serve.patterns,
+        &MemorySequences(noisy.clone()),
+        &matrix,
+        0,
+        MatchKernel::default(),
+        None,
+    )
+    .unwrap();
     assert_eq!(online.db_match.len(), offline.len());
     for (i, (a, b)) in online.db_match.iter().zip(&offline).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "pattern {i}: {a} vs {b}");

@@ -8,9 +8,9 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use noisemine_core::matching::{db_match_many, MemorySequences};
+use noisemine_core::matching::{try_db_match_many, MemorySequences};
 use noisemine_core::miner::MinerConfig;
-use noisemine_core::{Alphabet, PatternSpace, Symbol};
+use noisemine_core::{Alphabet, MatchKernel, PatternSpace, Symbol};
 use noisemine_datagen::{ProteinWorkload, ProteinWorkloadConfig};
 use noisemine_seqdb::MemoryDb;
 use noisemine_serve::json::{self, Value};
@@ -154,11 +154,15 @@ fn classify_over_socket_is_bit_identical_to_offline() {
     let (_, online) = db_match_from_response(&response);
 
     let serve = ServeModel::compile(read_model(&path).unwrap());
-    let offline = db_match_many(
+    let offline = try_db_match_many(
         &serve.patterns,
         &MemorySequences(batch.clone()),
         &serve.spec.matrix,
-    );
+        0,
+        MatchKernel::default(),
+        None,
+    )
+    .unwrap();
     assert_eq!(online.len(), offline.len());
     assert!(!online.is_empty(), "mined model has patterns");
     for (i, (a, b)) in online.iter().zip(&offline).enumerate() {
@@ -250,17 +254,21 @@ fn drift_hot_swap_drops_no_inflight_requests() {
     }
 
     // Post-swap, the active model is v2 and classification is
-    // bit-identical to offline db_match_many over the v2 artifact.
+    // bit-identical to offline try_db_match_many over the v2 artifact.
     let (status, response) = http(&addr, "POST", "/v1/classify", &body);
     assert_eq!(status, 200, "{response}");
     let (version, online) = db_match_from_response(&response);
     assert_eq!(version, v2);
     let serve_v2 = ServeModel::compile(read_model(&v2_path).unwrap());
-    let offline = db_match_many(
+    let offline = try_db_match_many(
         &serve_v2.patterns,
         &MemorySequences(batch.clone()),
         &serve_v2.spec.matrix,
-    );
+        0,
+        MatchKernel::default(),
+        None,
+    )
+    .unwrap();
     for (i, (a, b)) in online.iter().zip(&offline).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "pattern {i}: {a} vs {b}");
     }

@@ -22,7 +22,7 @@
 mod common;
 
 use common::{random_matrix, random_pattern, random_sequence, random_sequences, run_cases};
-use noisemine::core::matching::{db_match_many_kernel, sequence_match};
+use noisemine::core::matching::{sequence_match, try_db_match_many};
 use noisemine::core::{
     CandidateTrie, CompatibilityMatrix, MatchKernel, Pattern, PatternElem, PatternSpace, Symbol,
 };
@@ -217,7 +217,9 @@ fn empty_trie_is_a_no_op() {
         trie.batch_sequence_match_columnar_scalar(&seq, &matrix, &mut scratch, &mut []);
         let db = MemoryDb::from_sequences(vec![seq]);
         for kernel in [MatchKernel::Naive, MatchKernel::Simd] {
-            assert!(db_match_many_kernel(&[], &db, &matrix, 1, kernel).is_empty());
+            assert!(try_db_match_many(&[], &db, &matrix, 1, kernel, None)
+                .unwrap()
+                .is_empty());
         }
     });
 }
@@ -328,10 +330,10 @@ fn sparse_wide_db_scans_are_bit_identical_across_kernels_and_threads() {
 /// Scans `db` with both kernels at one and four workers and holds every
 /// result to the single-worker naive scan, bit for bit.
 fn assert_scans_match_naive(patterns: &[Pattern], db: &MemoryDb, matrix: &CompatibilityMatrix) {
-    let reference = db_match_many_kernel(patterns, db, matrix, 1, MatchKernel::Naive);
+    let reference = try_db_match_many(patterns, db, matrix, 1, MatchKernel::Naive, None).unwrap();
     for kernel in [MatchKernel::Naive, MatchKernel::Simd] {
         for threads in [1, 4] {
-            let got = db_match_many_kernel(patterns, db, matrix, threads, kernel);
+            let got = try_db_match_many(patterns, db, matrix, threads, kernel, None).unwrap();
             assert_bit_identical(
                 &got,
                 &reference,
