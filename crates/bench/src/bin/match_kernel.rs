@@ -12,9 +12,9 @@
 //! One extra row covers the shape of phase 2 on a sparse m = 100 run: the
 //! full level-2 batch (every ordered symbol pair, 10 000 patterns) under a
 //! partner-noise matrix with exact zeros, where a few dozen patterns improve
-//! per 8-window chunk of a trie of ~10 100 nodes. That is the regime in
-//! which the kernel's floor raises must walk ancestors rather than rebuild
-//! every floor of the trie.
+//! per 8-window chunk of a trie of ~10 100 nodes (~100 roots × ~100
+//! children). That is the regime in which each floor raise must stop at a
+//! root whose other children are still at zero instead of rescanning them.
 //!
 //! Before timing anything it verifies the value contract: the simd kernel
 //! must return the exact same bits as the naive oracle (its documented ULP

@@ -76,11 +76,12 @@ the #noisemine-matrix dense/sparse text format. --normalize mines with the
 diagonal-normalized score matrix (match on the noise-free support scale).
 `stream` ingests incrementally, re-mines only when symbol-match estimates
 drift past the Chernoff bound, and persists engine state via --checkpoint so
-a later run over a grown file resumes from the tail. --threads sets the scan
-worker count for the three-phase miner (0 = auto); results are bit-identical
-at any thread count. --kernel is a diagnostic override of the candidate
-evaluation kernel (simd = columnar candidate-trie kernel, 8 windows per
-step, AVX2 with a portable scalar path on hosts without AVX2+FMA or under
+a later run over a grown file resumes from the tail. --threads sets the
+worker count of the three-phase miner's database scans, phases 1 and 3
+(0 = auto); phase 2, mining the in-memory sample, always uses every
+available core. Results are bit-identical at any thread count. --kernel
+is a diagnostic override of the candidate evaluation kernel (simd =
+columnar candidate-trie kernel, 8 windows per step, AVX2 with a portable scalar path on hosts without AVX2+FMA or under
 NOISEMINE_FORCE_SCALAR=1, the default; naive = per-pattern reference
 oracle) — both produce identical values (simd is held to naive by a
 zero-ULP contract), so this only affects speed. `serve --kernel` applies

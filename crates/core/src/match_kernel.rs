@@ -119,10 +119,11 @@ struct TrieNode {
     child_start: u32,
     /// End (exclusive) of the child range in `children`.
     child_end: u32,
-    /// Most slots an ancestor floor walk starting here can touch: the sum
-    /// of `1 + children` over this node and every ancestor. The columnar
-    /// kernel weighs it against a whole-trie floor rebuild.
-    walk_cost: u64,
+    /// Floor contributors: one for a terminal (its own pattern's best) plus
+    /// one per child (the child's floor). Every contributor starts a
+    /// sequence at 0.0, the initial floor, so this is also the initial
+    /// count of contributors at the floor that the columnar kernel keeps.
+    contributors: u32,
 }
 
 /// A batch of candidate patterns stored as a prefix trie.
@@ -242,12 +243,6 @@ impl CandidateTrie {
         for n in &nodes {
             let child_start = children.len() as u32;
             children.extend_from_slice(&n.children);
-            // Parents are created before their children, so the parent's
-            // walk cost is already known.
-            let up = match n.parent {
-                NO_PARENT => 0,
-                p => flat[p as usize].walk_cost,
-            };
             flat.push(TrieNode {
                 elem: n.elem,
                 depth: n.depth,
@@ -255,7 +250,7 @@ impl CandidateTrie {
                 pattern: n.pattern,
                 child_start,
                 child_end: children.len() as u32,
-                walk_cost: up + 1 + n.children.len() as u64,
+                contributors: u32::from(n.pattern != NO_PATTERN) + n.children.len() as u32,
             });
         }
         // Columnar metadata: distinct concrete symbols (one compatibility
@@ -400,15 +395,17 @@ mod tests {
     }
 
     #[test]
-    fn walk_cost_sums_path_fan_out() {
-        // d0 -> d1 -> {d0, d1, d2, d3}: the root has 1 child, d1 has 4,
-        // each leaf none.
-        let patterns: Vec<Pattern> = (0..4u16)
+    fn contributors_count_terminal_and_children() {
+        // d0 -> d1 -> {d0, d1, d2, d3}, with d0 d1 itself a pattern: the
+        // root has 1 child, d1 has 4 children and its own pattern, each
+        // leaf only its own pattern.
+        let mut patterns: Vec<Pattern> = (0..4u16)
             .map(|i| Pattern::contiguous(&[Symbol(0), Symbol(1), Symbol(i)]).unwrap())
             .collect();
+        patterns.push(Pattern::contiguous(&[Symbol(0), Symbol(1)]).unwrap());
         let trie = CandidateTrie::new(&patterns);
-        let costs: Vec<u64> = trie.nodes.iter().map(|n| n.walk_cost).collect();
-        assert_eq!(costs, vec![2, 2 + 5, 8, 8, 8, 8]);
+        let counts: Vec<u32> = trie.nodes.iter().map(|n| n.contributors).collect();
+        assert_eq!(counts, vec![1, 4 + 1, 1, 1, 1, 1]);
     }
 
     #[test]

@@ -44,13 +44,26 @@
 //! (`n + 1 − len` valid windows), which also keeps trailing-`*` patterns
 //! exact.
 //!
-//! Floors are raised at chunk boundaries, by whichever of two exact
-//! methods touches fewer slots for the improvements the chunk queued:
-//! one ancestor walk per improved terminal (cost bounded by the node's
-//! precomputed path fan-out), or one sweep rebuilding every floor of the
-//! trie (cost `nodes + children`). A fixed improvement count as the switch
-//! point made wide sparse batches (m = 100, ~10 000 level-2 patterns, ~30
-//! improvements per chunk) pay the whole-trie sweep on nearly every chunk.
+//! Floors are raised at chunk boundaries, one ancestor walk per terminal
+//! whose best improved during the chunk, and each walk costs O(depth), not
+//! O(depth × fan-out). A node's floor is the min over its *contributors*
+//! (its own pattern's best, if it is a terminal, and its children's
+//! floors), and the scratch keeps, per node, how many contributors are at
+//! the floor — while the floor is 0.0, how many are still at zero. A raise
+//! carries the contributor's old value up the path and stops at the first
+//! ancestor it cannot change: where the old value was above that
+//! ancestor's floor (it was not the min), or where other contributors are
+//! still at the floor (the count drops by one and stays positive). Only
+//! when the raised contributor was the last one at the min does the walk
+//! rescan the node's children, recount, and move up with the raised floor.
+//! Without the count every raise would rescan its parent's siblings: on
+//! wide sparse batches (m = 100, ~100 roots × ~100 children at level 2,
+//! where a root's floor stays 0.0 until its last child matches) that reads
+//! about twice as many child slots as the walk visits nodes, and on dense
+//! matrices, whose few distinct entries make sibling floors tie, it
+//! rescans once per tied sibling. A first chunk that improves every
+//! pattern rescans each node once, when its last contributor leaves zero:
+//! O(nodes + children) in total.
 //!
 //! # Observability
 //!
@@ -123,18 +136,20 @@ pub struct SimdScratch {
     /// these instead of memsetting `best` (the memsets, not the walk,
     /// dominate per-sequence cost on sparse matrices).
     best_dirty: Vec<u32>,
-    /// Nodes whose floor left zero this sequence (same reset strategy).
+    /// Per node, how many floor contributors (own best, child floors)
+    /// equal the floor. Starts at every contributor (all at 0.0).
+    at_floor: Vec<u32>,
+    /// Nodes whose `at_floor` count (and possibly floor) left its initial
+    /// value this sequence (same reset strategy).
     floor_dirty: Vec<u32>,
     /// Terminal nodes whose pattern best improved during the current
-    /// chunk. A floor raised mid-chunk cannot prune anything until the
-    /// raised node is visited again — which is only ever the *next* chunk —
-    /// so raises are deferred to the chunk boundary and applied in one
-    /// batch (a bulk rebuild when that is cheaper, e.g. the first chunk
-    /// improving every pattern from zero).
-    improved: Vec<u32>,
-    /// Upper bound on the slots the queued `improved` ancestor walks
-    /// touch (the sum of their nodes' `walk_cost`).
-    improved_cost: u64,
+    /// chunk, each with its best from before the increase. A floor raised
+    /// mid-chunk cannot prune anything until the raised node is visited
+    /// again — which is only ever the *next* chunk — so raises are deferred
+    /// to the chunk boundary. Each is one ancestor walk that stops where
+    /// the old best was not the min or another contributor is still at
+    /// the floor; see [`CandidateTrie::raise_floors`].
+    improved: Vec<(u32, f64)>,
     /// `stripe_syms.len()` rows of `stride` entries each;
     /// `stripes[r * stride + pos] = C(stripe_syms[r], seq[pos])`, zero past
     /// the sequence end.
@@ -157,12 +172,15 @@ pub struct SimdScratch {
     pub simd_sequences: u64,
     /// Sequences evaluated on the portable scalar path.
     pub scalar_sequences: u64,
-    /// Chunk boundaries whose floor raises walked ancestors per
-    /// improvement.
-    pub floor_walks: u64,
-    /// Chunk boundaries whose floor raises rebuilt every floor in one
-    /// sweep.
-    pub floor_rebuilds: u64,
+    /// Floor-raise walk steps that stopped because the raised
+    /// contributor's old value was above the node's floor (not the min).
+    pub floor_not_min_exits: u64,
+    /// Floor-raise walk steps that stopped because other contributors are
+    /// still at the node's floor (at a 0.0 floor: still at zero).
+    pub floor_tie_exits: u64,
+    /// Floor-raise walk steps that rescanned a node's contributors and
+    /// raised its floor.
+    pub floor_rescans: u64,
 }
 
 impl CandidateTrie {
@@ -174,9 +192,9 @@ impl CandidateTrie {
             best: vec![0.0; self.patterns],
             floor: vec![0.0; self.nodes.len()],
             best_dirty: Vec::new(),
+            at_floor: self.nodes.iter().map(|n| n.contributors).collect(),
             floor_dirty: Vec::new(),
             improved: Vec::new(),
-            improved_cost: 0,
             stripes: Vec::new(),
             stripe_built: vec![false; self.stripe_syms.len()],
             stride: 0,
@@ -187,8 +205,9 @@ impl CandidateTrie {
             lanes_filled: 0,
             simd_sequences: 0,
             scalar_sequences: 0,
-            floor_walks: 0,
-            floor_rebuilds: 0,
+            floor_not_min_exits: 0,
+            floor_tie_exits: 0,
+            floor_rescans: 0,
         }
     }
 
@@ -289,13 +308,15 @@ impl CandidateTrie {
     /// windows, or `None` when nothing can match (empty batch handled by
     /// the caller).
     fn columnar_reset(&self, scratch: &mut SimdScratch, n: usize) -> Option<usize> {
-        // Zero only what the previous sequence dirtied — full fills of
-        // `best` and `floor` would cost more than the pruned walk itself.
+        // Reset only what the previous sequence dirtied — full fills of
+        // `best`, `floor` and `at_floor` would cost more than the pruned
+        // walk itself.
         for pi in scratch.best_dirty.drain(..) {
             scratch.best[pi as usize] = 0.0;
         }
         for ni in scratch.floor_dirty.drain(..) {
             scratch.floor[ni as usize] = 0.0;
+            scratch.at_floor[ni as usize] = self.nodes[ni as usize].contributors;
         }
         let min_len = self.min_len as usize;
         if min_len == 0 || n < min_len {
@@ -336,83 +357,72 @@ impl CandidateTrie {
     }
 
     /// Applies the floor raises queued in `scratch.improved` at a chunk
-    /// boundary, by whichever exact method touches fewer slots: one
-    /// ancestor walk per improvement (at most `improved_cost` slots), or one
-    /// reverse-preorder sweep over the whole trie, children before parents
-    /// (`nodes + children` slots). The first chunk of a sequence typically
-    /// improves *every* pattern from zero, where the sweep wins; later
-    /// chunks improve a few, where the walks win however wide the trie is.
+    /// boundary, one [`Self::raise_floors`] walk per improved terminal.
     fn apply_floor_raises(&self, scratch: &mut SimdScratch) {
-        let SimdScratch {
-            best,
-            floor,
-            floor_dirty,
-            improved,
-            improved_cost,
-            floor_walks,
-            floor_rebuilds,
-            ..
-        } = scratch;
-        let rebuild_cost = (self.nodes.len() + self.children.len()) as u64;
-        if *improved_cost < rebuild_cost {
-            *floor_walks += 1;
-            for &ni in improved.iter() {
-                self.raise_floors(ni, best, floor, floor_dirty);
-            }
-        } else {
-            *floor_rebuilds += 1;
-            for pn in self.pre.iter().rev() {
-                let ni = pn.node as usize;
-                let n = &self.nodes[ni];
-                let mut f = if pn.pattern == NO_PATTERN {
-                    f64::INFINITY
-                } else {
-                    best[pn.pattern as usize]
-                };
-                for &c in &self.children[n.child_start as usize..n.child_end as usize] {
-                    f = f.min(floor[c as usize]);
-                }
-                if f != floor[ni] {
-                    if floor[ni] == 0.0 {
-                        floor_dirty.push(ni as u32);
-                    }
-                    floor[ni] = f;
-                }
-            }
+        let mut improved = std::mem::take(&mut scratch.improved);
+        for &(ni, old) in &improved {
+            self.raise_floors(ni, old, scratch);
         }
         improved.clear();
-        *improved_cost = 0;
+        scratch.improved = improved;
     }
 
     /// Re-establishes the floor invariant (`floor[n]` = min best over
-    /// terminal descendants of `n`, including `n` itself) after `best` of
-    /// the terminal at `node` increased, walking toward the root until a
-    /// floor stops changing. Every node whose floor leaves zero is recorded
-    /// in `dirty`, so the next sequence resets floors by walking the dirty
-    /// list instead of memsetting the whole node array.
-    fn raise_floors(&self, node: u32, best: &[f64], floor: &mut [f64], dirty: &mut Vec<u32>) {
-        let mut ni = node;
+    /// terminal descendants of `n`, including `n` itself, and `at_floor[n]`
+    /// = contributors equal to it) after the best of the terminal at `node`
+    /// rose from `old`. The walk carries the raised contributor's old value
+    /// toward the root and, at each node:
+    ///
+    /// - stops if `old` is above the node's floor: the contributor was not
+    ///   the min, so the floor cannot move;
+    /// - otherwise counts one contributor at the floor fewer, and stops
+    ///   while any remain: the min is unchanged;
+    /// - otherwise rescans the node's contributors for the new min and how
+    ///   many share it, and moves up with the node's previous floor as the
+    ///   old value of the raised contributor.
+    ///
+    /// The queue is in preorder, so an ancestor's own raise is applied
+    /// before any raise from below reaches it, and a rescan reads only
+    /// applied values: `old` is never below the floor. A node enters
+    /// `floor_dirty`, for the next sequence's reset, on its first decrement.
+    fn raise_floors(&self, node: u32, old: f64, scratch: &mut SimdScratch) {
+        let (mut ni, mut old) = (node as usize, old);
         loop {
-            let n = &self.nodes[ni as usize];
-            let mut f = if n.pattern == NO_PATTERN {
-                f64::INFINITY
+            let fl = scratch.floor[ni];
+            if old > fl {
+                scratch.floor_not_min_exits += 1;
+                return;
+            }
+            let n = &self.nodes[ni];
+            if scratch.at_floor[ni] == n.contributors && fl == 0.0 {
+                scratch.floor_dirty.push(ni as u32);
+            }
+            scratch.at_floor[ni] -= 1;
+            if scratch.at_floor[ni] > 0 {
+                scratch.floor_tie_exits += 1;
+                return;
+            }
+            scratch.floor_rescans += 1;
+            let (mut f, mut ties) = if n.pattern == NO_PATTERN {
+                (f64::INFINITY, 0)
             } else {
-                best[n.pattern as usize]
+                (scratch.best[n.pattern as usize], 1)
             };
             for &c in &self.children[n.child_start as usize..n.child_end as usize] {
-                f = f.min(floor[c as usize]);
+                let v = scratch.floor[c as usize];
+                if v < f {
+                    (f, ties) = (v, 1);
+                } else if v == f {
+                    ties += 1;
+                }
             }
-            if f == floor[ni as usize] {
-                break; // ancestors already see this minimum
-            }
-            if floor[ni as usize] == 0.0 {
-                dirty.push(ni);
-            }
-            floor[ni as usize] = f;
+            // Every contributor that was at `fl` has left it, so `f > fl`.
+            scratch.floor[ni] = f;
+            scratch.at_floor[ni] = ties;
             if n.parent == NO_PARENT {
-                break;
+                return;
             }
-            ni = n.parent;
+            (ni, old) = (n.parent as usize, fl);
         }
     }
 
@@ -512,9 +522,8 @@ impl CandidateTrie {
                         if scratch.best[pi] < 1.0 && m >= 1.0 {
                             saturated += 1;
                         }
+                        scratch.improved.push((pn.node, scratch.best[pi]));
                         scratch.best[pi] = m;
-                        scratch.improved.push(pn.node);
-                        scratch.improved_cost += self.nodes[pn.node as usize].walk_cost;
                     }
                 }
                 i += 1;
@@ -666,10 +675,8 @@ impl CandidateTrie {
                             if scratch.best[pi] < 1.0 && m >= 1.0 {
                                 saturated += 1;
                             }
+                            scratch.improved.push((pn.node, scratch.best[pi]));
                             scratch.best[pi] = m;
-                            scratch.improved.push(pn.node);
-                            scratch.improved_cost +=
-                                self.nodes.get_unchecked(pn.node as usize).walk_cost;
                         }
                     }
                 }
@@ -701,7 +708,9 @@ mod tests {
     use super::*;
     use crate::alphabet::Alphabet;
     use crate::matching::sequence_match;
-    use crate::pattern::Pattern;
+    use crate::pattern::{Pattern, PatternElem};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn pat(text: &str) -> Pattern {
         Pattern::parse(text, &Alphabet::synthetic(5)).unwrap()
@@ -837,6 +846,170 @@ mod tests {
         for (p, &got) in patterns.iter().zip(&out) {
             assert_eq!(got, sequence_match(p, &s, &matrix), "{p}");
         }
+    }
+
+    /// Alphabet of the floor-bookkeeping cases — the Fig. 15 regime.
+    const WIDE_M: usize = 100;
+
+    /// A dense uniform-noise matrix or a sparse partner-noise one: each
+    /// true symbol survives with probability `1 − α` or turns into one of
+    /// `partners` other symbols, so most entries are exactly zero.
+    fn wide_matrix(rng: &mut StdRng, partners: usize) -> CompatibilityMatrix {
+        let alpha = rng.gen_range(0.1..0.5);
+        if partners == 0 {
+            return CompatibilityMatrix::uniform_noise(WIDE_M, alpha).unwrap();
+        }
+        // Column `o` collects P(observe o | true t) over t; normalizing it
+        // under a uniform prior gives C(t, o).
+        let mut cols = vec![Vec::new(); WIDE_M];
+        for t in 0..WIDE_M {
+            cols[t].push((Symbol(t as u16), 1.0 - alpha));
+            let mut chosen: Vec<usize> = Vec::new();
+            while chosen.len() < partners {
+                let o = rng.gen_range(0..WIDE_M);
+                if o != t && !chosen.contains(&o) {
+                    chosen.push(o);
+                    cols[o].push((Symbol(t as u16), alpha / partners as f64));
+                }
+            }
+        }
+        for col in &mut cols {
+            col.sort_by_key(|&(t, _)| t);
+            let sum: f64 = col.iter().map(|&(_, v)| v).sum();
+            for (_, v) in col.iter_mut() {
+                *v /= sum;
+            }
+        }
+        CompatibilityMatrix::from_sparse_columns(cols).unwrap()
+    }
+
+    /// A phase-2-shaped batch over the first `width` symbols: the full
+    /// level 2, or a level-3 slice (random pairs each extended by every
+    /// symbol, some across a `*`) that may also hold its level-2 prefixes,
+    /// so interior nodes are terminals too.
+    fn wide_batch(rng: &mut StdRng, width: usize) -> Vec<Pattern> {
+        let sym = |s: usize| PatternElem::Sym(Symbol(s as u16));
+        if rng.gen_bool(0.4) {
+            return (0..width)
+                .flat_map(|a| (0..width).map(move |b| Pattern::new(vec![sym(a), sym(b)]).unwrap()))
+                .collect();
+        }
+        let mut batch = Vec::new();
+        for _ in 0..rng.gen_range(width / 5..width / 2) {
+            let (a, b) = (rng.gen_range(0..width), rng.gen_range(0..width));
+            if rng.gen_bool(0.5) {
+                batch.push(Pattern::new(vec![sym(a), sym(b)]).unwrap());
+            }
+            let gap = rng.gen_bool(0.3);
+            for c in 0..width {
+                let mut elems = vec![sym(a), sym(b)];
+                if gap {
+                    elems.push(PatternElem::Any);
+                }
+                elems.push(sym(c));
+                batch.push(Pattern::new(elems).unwrap());
+            }
+        }
+        batch
+    }
+
+    /// The floor of every node recomputed from scratch: the min best over
+    /// every terminal at or below it.
+    fn brute_floors(trie: &CandidateTrie, best: &[f64]) -> Vec<f64> {
+        let mut floor = vec![f64::INFINITY; trie.nodes.len()];
+        for (ti, t) in trie.nodes.iter().enumerate() {
+            if t.pattern == NO_PATTERN {
+                continue;
+            }
+            let mut ni = ti as u32;
+            while ni != NO_PARENT {
+                let f = &mut floor[ni as usize];
+                *f = f.min(best[t.pattern as usize]);
+                ni = trie.nodes[ni as usize].parent;
+            }
+        }
+        floor
+    }
+
+    /// The floor contributors of every node equal to its floor, counted
+    /// afresh.
+    fn recount_at_floor(trie: &CandidateTrie, scratch: &SimdScratch) -> Vec<u32> {
+        trie.nodes
+            .iter()
+            .enumerate()
+            .map(|(ni, n)| {
+                let fl = scratch.floor[ni];
+                let own = n.pattern != NO_PATTERN && scratch.best[n.pattern as usize] == fl;
+                let kids = trie.children[n.child_start as usize..n.child_end as usize]
+                    .iter()
+                    .filter(|&&c| scratch.floor[c as usize] == fl)
+                    .count();
+                u32::from(own) + kids as u32
+            })
+            .collect()
+    }
+
+    /// After every sequence on a reused scratch, on both paths and on dense
+    /// and sparse m = 100 matrices with wide level-2/3 batches, every floor
+    /// equals the brute-force min over its terminals and every count of
+    /// contributors at the floor (at a 0.0 floor, the zero count) equals a
+    /// recount — the bookkeeping the O(depth) floor raise relies on. Under
+    /// Miri (scalar path only) the batches and sequences shrink.
+    #[test]
+    fn floors_and_floor_counts_stay_exact_across_sequences() {
+        let (cases, sequences, width) = if cfg!(miri) {
+            (2, 2, 12)
+        } else {
+            (6, 5, WIDE_M)
+        };
+        let mut rng = StdRng::seed_from_u64(14);
+        // Inner nodes seen with a raised floor: the rescan path ran.
+        let mut raised_inner = 0usize;
+        for case in 0..cases {
+            let partners = [0, 1, 2, 8][case % 4];
+            let matrix = wide_matrix(&mut rng, partners);
+            let patterns = wide_batch(&mut rng, width);
+            let trie = CandidateTrie::new(&patterns);
+            let mut dispatched = trie.simd_scratch();
+            let mut scalar = trie.simd_scratch();
+            let mut out = vec![0.0; patterns.len()];
+            for _ in 0..sequences {
+                let len = rng.gen_range(if cfg!(miri) { 10..=20usize } else { 40..=60 });
+                let s: Vec<Symbol> = (0..len)
+                    .map(|_| Symbol(rng.gen_range(0..width as u16)))
+                    .collect();
+                if !cfg!(miri) {
+                    trie.batch_sequence_match_columnar(&s, &matrix, &mut dispatched, &mut out);
+                }
+                trie.batch_sequence_match_columnar_scalar(&s, &matrix, &mut scalar, &mut out);
+                let paths: &[(&str, &SimdScratch)] = if cfg!(miri) {
+                    &[("scalar", &scalar)]
+                } else {
+                    &[("dispatched", &dispatched), ("scalar", &scalar)]
+                };
+                for &(path, scratch) in paths {
+                    let want = brute_floors(&trie, &scratch.best);
+                    for (ni, (&got, &w)) in scratch.floor.iter().zip(&want).enumerate() {
+                        assert!(
+                            got.to_bits() == w.to_bits(),
+                            "case {case} {path}: node {ni} floor {got:e}, brute force {w:e}"
+                        );
+                    }
+                    assert_eq!(
+                        scratch.at_floor,
+                        recount_at_floor(&trie, scratch),
+                        "case {case} {path}: at-floor counts diverged from a recount"
+                    );
+                    raised_inner += trie
+                        .nodes
+                        .iter()
+                        .zip(&scratch.floor)
+                        .filter(|(n, &f)| n.child_end > n.child_start && f > 0.0)
+                        .count();
+                }
+            }
+        }
+        assert!(raised_inner > 0, "no inner floor ever left zero");
     }
 
     #[test]

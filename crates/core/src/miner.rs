@@ -67,10 +67,11 @@ pub struct MinerConfig {
     /// wide to prune — raise the sample size, threshold, or delta).
     pub max_sample_patterns: usize,
     /// Worker threads for the phase-1/phase-3 scan pipeline; `0` means all
-    /// available cores. Purely operational: block sizes are constants and
-    /// partial sums reduce in block order, so mining output is bit-identical
-    /// at every thread count (which is also why this knob is not part of any
-    /// checkpointed state).
+    /// available cores. Phase 2 does not read it: its in-memory sample
+    /// evaluation always uses every available core. Purely operational:
+    /// block sizes are constants and partial sums reduce in block order, so
+    /// mining output is bit-identical at every thread count (which is also
+    /// why this knob is not part of any checkpointed state).
     pub threads: usize,
     /// Which match kernel evaluates candidate batches in phases 2 and 3 —
     /// the columnar [`CandidateTrie`](crate::match_kernel::CandidateTrie)

@@ -18,6 +18,7 @@
 //! work (sequential sampling) runs on the in-order block stream before the
 //! fan-out.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 
@@ -223,40 +224,44 @@ pub fn sum_sequence_matches(
     }
 
     let chunks: Vec<&[Vec<Symbol>]> = sequences.chunks(CHUNK_SIZE).collect();
-    let num_chunks = chunks.len();
     let next = AtomicUsize::new(0);
-    let mut partials: Vec<Vec<f64>> = vec![Vec::new(); num_chunks];
-    {
-        let partial_slots: Vec<std::sync::Mutex<&mut Vec<f64>>> =
-            partials.iter_mut().map(std::sync::Mutex::new).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut eval = make_eval();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= num_chunks {
-                            break;
-                        }
-                        let mut totals = vec![0.0f64; p];
-                        eval.accumulate(chunks[idx], &mut totals);
-                        **partial_slots[idx]
-                            .lock()
-                            .expect("match-evaluation worker panicked") = totals;
-                    }
-                });
-            }
-        });
-    }
-
-    // Ordered reduction: chunk 0 + chunk 1 + … regardless of which thread
-    // produced each.
+    let (done_tx, done_rx) = mpsc::channel::<(usize, Vec<f64>)>();
     let mut totals = vec![0.0f64; p];
-    for partial in &partials {
-        for (t, &v) in totals.iter_mut().zip(partial) {
-            *t += v;
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            let (done_tx, chunks, next, make_eval) = (done_tx.clone(), &chunks, &next, &make_eval);
+            scope.spawn(move || {
+                let mut eval = make_eval();
+                loop {
+                    let idx = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(chunk) = chunks.get(idx) else { break };
+                    let mut partial = vec![0.0f64; p];
+                    eval.accumulate(chunk, &mut partial);
+                    if done_tx.send((idx, partial)).is_err() {
+                        break;
+                    }
+                }
+            });
         }
-    }
+        // Workers hold their own clones; drop ours so `done_rx` disconnects
+        // once they all finish.
+        drop(done_tx);
+        // Ordered reduction: chunk 0 + chunk 1 + … regardless of which
+        // thread produced each. A partial is folded as soon as every
+        // earlier chunk has been, then dropped, so only the partials that
+        // finished ahead of an earlier chunk are held — not one per chunk.
+        let mut waiting: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
+        let mut folded = 0usize;
+        for (idx, partial) in done_rx {
+            waiting.insert(idx, partial);
+            while let Some(partial) = waiting.remove(&folded) {
+                for (t, &v) in totals.iter_mut().zip(&partial) {
+                    *t += v;
+                }
+                folded += 1;
+            }
+        }
+    });
     totals
 }
 

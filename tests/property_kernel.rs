@@ -11,8 +11,9 @@
 //! where the trie's shape degenerates: an empty batch and patterns longer
 //! than the sequence. They also cover the regime of a sparse m = 100 run:
 //! level-2 and level-3 batches of thousands of patterns under partner-noise
-//! matrices with exact zeros, wide enough that the kernel raises floors
-//! both by per-improvement ancestor walks and by whole-trie rebuilds, on
+//! matrices with exact zeros, wide enough that every branch of the
+//! kernel's floor raise runs (the not-the-min exit, the exit on other
+//! contributors still at the floor — at zero, here — and the rescan), on
 //! the dispatched and the forced-scalar path. The database scans are
 //! additionally checked across thread counts and both kernels — four ways
 //! to compute the same `Vec<f64>`, one acceptable answer.
@@ -257,12 +258,13 @@ fn pattern_longer_than_sequence_is_zero() {
 /// partner-noise run: thousands of patterns, exact-zero compatibilities, a
 /// few dozen improvements per 8-window chunk. Both the dispatched and the
 /// forced-scalar path (each on its own reused scratch) must match the
-/// oracle bit for bit, and across the cases each path must have raised
-/// floors both by ancestor walks and by whole-trie rebuilds — otherwise
-/// the suite would not be testing the branch that decides between them.
+/// oracle bit for bit, and across the cases each path must have taken
+/// every branch of the floor raise — the not-the-min exit, the exit on
+/// other contributors still at the floor, and the rescan — otherwise the
+/// suite would not be testing them.
 #[test]
 fn sparse_wide_batches_match_the_oracle_on_both_paths() {
-    let (mut walks, mut rebuilds) = ([0u64; 2], [0u64; 2]);
+    let (mut not_min, mut ties, mut rescans) = ([0u64; 2], [0u64; 2], [0u64; 2]);
     run_cases(8, |rng| {
         let partners = [1, 2, 8][rng.gen_range(0..3usize)];
         let matrix = partner_matrix(rng, SPARSE_M, partners);
@@ -287,16 +289,21 @@ fn sparse_wide_batches_match_the_oracle_on_both_paths() {
             assert_bit_identical(&got_scalar, &want, "sparse wide batch (scalar)");
         }
         for (i, s) in [&dispatched, &scalar].into_iter().enumerate() {
-            walks[i] += s.floor_walks;
-            rebuilds[i] += s.floor_rebuilds;
+            not_min[i] += s.floor_not_min_exits;
+            ties[i] += s.floor_tie_exits;
+            rescans[i] += s.floor_rescans;
         }
     });
     for (i, path) in ["dispatched", "scalar"].into_iter().enumerate() {
         assert!(
-            walks[i] > 0,
-            "{path}: no chunk raised floors by ancestor walks"
+            not_min[i] > 0,
+            "{path}: no floor raise stopped at a node it was not the min of"
         );
-        assert!(rebuilds[i] > 0, "{path}: no chunk rebuilt every floor");
+        assert!(
+            ties[i] > 0,
+            "{path}: no floor raise stopped on other contributors at the floor"
+        );
+        assert!(rescans[i] > 0, "{path}: no floor raise rescanned a node");
     }
 }
 
