@@ -202,7 +202,7 @@ fn mean_of_per_sequence_max(occs: &[Occurrence], n: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::levelwise::mine_levelwise;
-    use noisemine_core::matching::{db_match, MatchMetric};
+    use noisemine_core::matching::{try_db_match, MatchMetric};
     use noisemine_core::Alphabet;
     use noisemine_seqdb::MemoryDb;
 
@@ -236,7 +236,7 @@ mod tests {
             // Values agree with the oracle.
             let mem_seqs = MemoryDb::from_sequences(seqs.clone());
             for (p, v) in &dfs.frequent {
-                let exact = db_match(p, &mem_seqs, &matrix);
+                let exact = try_db_match(p, &mem_seqs, &matrix).unwrap();
                 assert!((exact - v).abs() < 1e-12, "{p}: {v} vs {exact}");
             }
         }

@@ -172,7 +172,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noisemine_core::matching::{db_match, db_support, MatchMetric, SupportMetric};
+    use noisemine_core::matching::{try_db_match, try_db_support, MatchMetric, SupportMetric};
     use noisemine_core::{Alphabet, CompatibilityMatrix};
     use noisemine_seqdb::MemoryDb;
 
@@ -202,7 +202,7 @@ mod tests {
         // "d1 d0" occurs in sequences 2 and 3 -> support 0.5.
         assert!(set.contains(&Pattern::parse("d1 d0", &a).unwrap()));
         for (p, v) in &r.frequent {
-            assert!((db_support(p, &database) - v).abs() < 1e-12);
+            assert!((try_db_support(p, &database).unwrap() - v).abs() < 1e-12);
             assert!(*v >= 0.5);
         }
     }
@@ -216,7 +216,7 @@ mod tests {
         let r = mine_levelwise(&database, &metric, 5, 0.15, &space, 100);
         assert!(!r.frequent.is_empty());
         for (p, v) in &r.frequent {
-            let exact = db_match(p, &database, &matrix);
+            let exact = try_db_match(p, &database, &matrix).unwrap();
             assert!((exact - v).abs() < 1e-12);
             assert!(*v >= 0.15);
         }
@@ -288,7 +288,7 @@ mod tests {
         let values = evaluate_patterns(&patterns, &database, &metric, 2, &mut scans);
         assert_eq!(scans, 3); // ceil(5 / 2)
         for (p, v) in patterns.iter().zip(&values) {
-            assert!((db_match(p, &database, &matrix) - v).abs() < 1e-12);
+            assert!((try_db_match(p, &database, &matrix).unwrap() - v).abs() < 1e-12);
         }
     }
 }

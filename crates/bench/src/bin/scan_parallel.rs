@@ -1,4 +1,4 @@
-//! Parallel phase-1 scan throughput (`try_scan_map_reduce` over both stores).
+//! Parallel phase-1 scan throughput (`try_scan_map_fold` over both stores).
 //!
 //! Times [`try_phase1_threads_indexed`] over the same synthetic database at several
 //! worker-thread counts, against both the in-memory store and the

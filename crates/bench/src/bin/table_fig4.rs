@@ -10,7 +10,7 @@
 //! the core test suite (`noisemine-core::matching`).
 
 use noisemine_bench::table::{fmt, Table};
-use noisemine_core::matching::{db_match, db_support, segment_match, MemorySequences};
+use noisemine_core::matching::{segment_match, try_db_match, try_db_support, MemorySequences};
 use noisemine_core::{Alphabet, CompatibilityMatrix, Pattern, Symbol};
 
 fn main() {
@@ -32,8 +32,8 @@ fn main() {
         let p = Pattern::single(Symbol(i));
         t.row([
             alphabet.name(Symbol(i)).unwrap().to_string(),
-            fmt(db_support(&p, &db), 3),
-            fmt(db_match(&p, &db, &matrix), 3),
+            fmt(try_db_support(&p, &db).expect("in-memory scan"), 3),
+            fmt(try_db_match(&p, &db, &matrix).expect("in-memory scan"), 3),
         ]);
     }
     t.emit(Some(std::path::Path::new("results/table_fig4b.csv")));
@@ -48,8 +48,8 @@ fn main() {
             let p = Pattern::contiguous(&[Symbol(a), Symbol(b)]).unwrap();
             t.row([
                 p.display(&alphabet).unwrap(),
-                fmt(db_support(&p, &db), 2),
-                fmt(db_match(&p, &db, &matrix), 3),
+                fmt(try_db_support(&p, &db).expect("in-memory scan"), 2),
+                fmt(try_db_match(&p, &db, &matrix).expect("in-memory scan"), 3),
             ]);
         }
     }

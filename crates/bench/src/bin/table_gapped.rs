@@ -13,7 +13,9 @@
 use noisemine_baselines::mine_levelwise;
 use noisemine_bench::args::Args;
 use noisemine_bench::table::Table;
-use noisemine_core::matching::{db_match, db_support, MatchMetric, MemorySequences, SupportMetric};
+use noisemine_core::matching::{
+    try_db_match, try_db_support, MatchMetric, MemorySequences, SupportMetric,
+};
 use noisemine_core::{Alphabet, Pattern, PatternSpace};
 use noisemine_datagen::noise::{apply_channel, channel_to_compatibility, partner_channel};
 use noisemine_datagen::{generate, Background, GeneratorConfig, PlantedMotif};
@@ -63,8 +65,8 @@ fn main() {
             .diagonal_normalized_clamped()
             .expect("positive diagonals");
         let db = MemorySequences(noisy);
-        let s = db_support(&signature, &db);
-        let mv = db_match(&signature, &db, &norm);
+        let s = try_db_support(&signature, &db).expect("in-memory scan");
+        let mv = try_db_match(&signature, &db, &norm).expect("in-memory scan");
         recovery.row([
             format!("{alpha:.2}"),
             format!("{s:.3}"),

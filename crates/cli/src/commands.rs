@@ -6,11 +6,13 @@ use noisemine_baselines::{
     mine_depth_first, mine_levelwise, mine_maxminer, mine_top_k, MaxMinerConfig,
 };
 use noisemine_core::border_collapse::ProbeStrategy;
-use noisemine_core::matching::{db_match, db_support, MatchMetric, MemorySequences, SequenceScan};
-use noisemine_core::miner::{mine, mine_indexed, MinerConfig};
+use noisemine_core::matching::{
+    try_db_match, try_db_support, try_symbol_db_match, MatchMetric, MemorySequences, SequenceScan,
+};
+use noisemine_core::miner::{mine_indexed, MinerConfig};
 use noisemine_core::{
     matrix_io, Alphabet, CompatibilityMatrix, IndexMode, MatchKernel, Pattern, PatternModel,
-    PatternSpace, Symbol,
+    PatternSpace, Symbol, SymbolIndex,
 };
 use noisemine_datagen::learn_matrix;
 use noisemine_datagen::noise::{channel_to_compatibility, partner_channel};
@@ -217,7 +219,7 @@ pub fn cmd_stats(opts: &Opts) -> CliResult<()> {
 
     if let Some(matrix_path) = opts.get("matrix") {
         let (_, matrix) = load_matrix(matrix_path, &alphabet)?;
-        let matches = noisemine_core::matching::symbol_db_match(&db, &matrix);
+        let matches = try_symbol_db_match(&db, &matrix).map_err(|e| e.to_string())?;
         println!("\n{:<10} {:>10}", "symbol", "match");
         for &i in order.iter().take(20) {
             println!(
@@ -243,11 +245,13 @@ pub fn cmd_match(opts: &Opts) -> CliResult<()> {
         pattern.len(),
         pattern.non_eternal_count(),
     );
-    println!("support: {:.6}", db_support(&pattern, &db));
+    let support = try_db_support(&pattern, &db).map_err(|e| e.to_string())?;
+    println!("support: {support:.6}");
     if let Some(matrix_path) = opts.get("matrix") {
         let (_, matrix) = load_matrix(matrix_path, &alphabet)?;
         let matrix = maybe_normalize(matrix, opts)?;
-        println!("match:   {:.6}", db_match(&pattern, &db, &matrix));
+        let value = try_db_match(&pattern, &db, &matrix).map_err(|e| e.to_string())?;
+        println!("match:   {value:.6}");
     }
     Ok(())
 }
@@ -374,37 +378,7 @@ pub fn cmd_mine(opts: &Opts) -> CliResult<()> {
     let frequent: Vec<(Pattern, f64)> = match algorithm {
         "three-phase" => {
             let db = MemoryDb::from_sequences(sequences);
-            let config = MinerConfig {
-                min_match,
-                delta: opts.num("delta", 0.001f64)?,
-                sample_size: opts.num("sample", db.sequences().len())?,
-                counters_per_scan: opts.num("counters", 100_000usize)?,
-                space,
-                probe_strategy: match opts.get_or("strategy", "border") {
-                    "border" => ProbeStrategy::BorderCollapsing,
-                    "levelwise" => ProbeStrategy::LevelWise,
-                    other => return Err(format!("unknown strategy {other:?}").into()),
-                },
-                seed: opts.num("seed", 2002u64)?,
-                threads: opts.num("threads", 0usize)?,
-                match_kernel: parse_kernel(opts)?,
-                index: parse_index(opts)?,
-                ..MinerConfig::default()
-            };
-            let outcome = mine(&db, &matrix, &config).map_err(|e| e.to_string())?;
-            eprintln!(
-                "three-phase miner: {} db scans, {} sample-confident, {} verified, {} implied",
-                outcome.stats.db_scans,
-                outcome.stats.sample_frequent,
-                outcome.stats.verified_patterns,
-                outcome.stats.propagated_patterns,
-            );
-            maybe_write_model(opts, &outcome, &alphabet, &matrix, min_match)?;
-            outcome
-                .frequent
-                .into_iter()
-                .map(|f| (f.pattern, f.match_estimate))
-                .collect()
+            return mine_three_phase(opts, &db, None, &alphabet, &matrix, sink.as_ref());
         }
         "levelwise" => {
             let db = MemoryDb::from_sequences(sequences);
@@ -458,15 +432,7 @@ pub fn cmd_mine(opts: &Opts) -> CliResult<()> {
         }
     };
 
-    let mut sorted = frequent;
-    sorted.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    eprintln!(
-        "{} frequent patterns (match >= {min_match}); top {}:",
-        sorted.len(),
-        limit.min(sorted.len())
-    );
-    write_metrics(sink.as_ref())?;
-    emit(&sorted, limit, &alphabet, format)
+    emit_frequent(opts, frequent, min_match, limit, &alphabet, sink.as_ref())
 }
 
 /// Mines a binary `.nmdb` database with the three-phase miner, scanning
@@ -522,7 +488,6 @@ fn mine_binary(opts: &Opts, sink: Option<&noisemine_obs::FileSink>) -> CliResult
         }
     };
     let matrix = maybe_normalize(matrix, opts)?;
-    let min_match = opts.num("min-match", 0.1f64)?;
     let index_mode = parse_index(opts)?;
     // `--index build` rebuilds the sidecar unconditionally; `--index use`
     // loads it when it still matches the database (and quarantine view),
@@ -562,10 +527,28 @@ fn mine_binary(opts: &Opts, sink: Option<&noisemine_obs::FileSink>) -> CliResult
             Some(index)
         }
     };
+    mine_three_phase(opts, &db, sidecar.as_ref(), &alphabet, &matrix, sink)
+}
+
+/// Runs the three-phase miner over a text (`MemoryDb`) or binary (`DiskDb`)
+/// database: builds the [`MinerConfig`] from the options, prints the stats
+/// line, writes the `--model-out` artifact and emits the frequent patterns.
+/// `sidecar` is the symbol index a binary database loaded or built.
+fn mine_three_phase(
+    opts: &Opts,
+    db: &dyn SequenceScan,
+    sidecar: Option<&SymbolIndex>,
+    alphabet: &Alphabet,
+    matrix: &CompatibilityMatrix,
+    sink: Option<&noisemine_obs::FileSink>,
+) -> CliResult<()> {
+    let path = opts.required("db")?;
+    let min_match = opts.num("min-match", 0.1f64)?;
+    let limit = opts.num("limit", 50usize)?;
     let config = MinerConfig {
         min_match,
         delta: opts.num("delta", 0.001f64)?,
-        sample_size: opts.num("sample", db.num_sequences() as usize)?,
+        sample_size: opts.num("sample", db.num_sequences())?,
         counters_per_scan: opts.num("counters", 100_000usize)?,
         space: PatternSpace::new(opts.num("max-gap", 0usize)?, opts.num("max-len", 16usize)?)
             .map_err(|e| e.to_string())?,
@@ -577,11 +560,10 @@ fn mine_binary(opts: &Opts, sink: Option<&noisemine_obs::FileSink>) -> CliResult
         seed: opts.num("seed", 2002u64)?,
         threads: opts.num("threads", 0usize)?,
         match_kernel: parse_kernel(opts)?,
-        index: index_mode,
+        index: parse_index(opts)?,
         ..MinerConfig::default()
     };
-    let outcome = mine_indexed(&db, &matrix, &config, sidecar.as_ref())
-        .map_err(|e| format!("{path}: {e}"))?;
+    let outcome = mine_indexed(db, matrix, &config, sidecar).map_err(|e| format!("{path}: {e}"))?;
     eprintln!(
         "three-phase miner: {} db scans, {} sample-confident, {} verified, {} implied",
         outcome.stats.db_scans,
@@ -589,21 +571,33 @@ fn mine_binary(opts: &Opts, sink: Option<&noisemine_obs::FileSink>) -> CliResult
         outcome.stats.verified_patterns,
         outcome.stats.propagated_patterns,
     );
-    maybe_write_model(opts, &outcome, &alphabet, &matrix, min_match)?;
-    let mut sorted: Vec<(Pattern, f64)> = outcome
+    maybe_write_model(opts, &outcome, alphabet, matrix, min_match)?;
+    let frequent = outcome
         .frequent
         .into_iter()
         .map(|f| (f.pattern, f.match_estimate))
         .collect();
-    sorted.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    let limit = opts.num("limit", 50usize)?;
+    emit_frequent(opts, frequent, min_match, limit, alphabet, sink)
+}
+
+/// Sorts mined patterns by match (descending, ties by pattern), prints the
+/// status line, flushes `--metrics-out` and emits the top `limit`.
+fn emit_frequent(
+    opts: &Opts,
+    mut frequent: Vec<(Pattern, f64)>,
+    min_match: f64,
+    limit: usize,
+    alphabet: &Alphabet,
+    sink: Option<&noisemine_obs::FileSink>,
+) -> CliResult<()> {
+    frequent.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     eprintln!(
         "{} frequent patterns (match >= {min_match}); top {}:",
-        sorted.len(),
-        limit.min(sorted.len())
+        frequent.len(),
+        limit.min(frequent.len())
     );
     write_metrics(sink)?;
-    emit(&sorted, limit, &alphabet, format)
+    emit(&frequent, limit, alphabet, opts.get_or("format", "table"))
 }
 
 /// Writes the mined outcome as a versioned `NMMODEL` serving artifact

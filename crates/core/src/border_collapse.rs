@@ -354,7 +354,7 @@ pub fn levels_in_collapse_order(lo: usize, hi: usize) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::alphabet::Alphabet;
-    use crate::matching::{db_match, MemorySequences};
+    use crate::matching::{try_db_match, MemorySequences};
     use crate::matrix::CompatibilityMatrix;
 
     fn pat(text: &str) -> Pattern {
@@ -436,7 +436,7 @@ mod tests {
         assert!(r.scans >= 2);
         // Every pattern must be resolved exactly as the oracle says.
         for p in &patterns {
-            let exact = db_match(p, &database, &matrix);
+            let exact = try_db_match(p, &database, &matrix).unwrap();
             let in_frequent = r.frequent.iter().any(|x| x.pattern == *p);
             let in_infrequent = r.infrequent.iter().any(|x| x.pattern == *p);
             assert!(in_frequent ^ in_infrequent, "{p} resolved twice or never");
@@ -532,7 +532,7 @@ mod tests {
         let patterns = vec![pat("d0"), pat("d1"), pat("d1 d0"), pat("d3 d1 d0")];
         let known: Vec<(Pattern, f64)> = patterns
             .iter()
-            .map(|p| (p.clone(), db_match(p, &database, &matrix)))
+            .map(|p| (p.clone(), try_db_match(p, &database, &matrix).unwrap()))
             .collect();
         let r = try_collapse_with_known_kernel_indexed(
             AmbiguousSpace::new(patterns.clone()),
@@ -550,7 +550,7 @@ mod tests {
         assert_eq!(r.scans, 0, "known values must resolve without scanning");
         assert_eq!(r.frequent.len() + r.infrequent.len(), patterns.len());
         for p in &patterns {
-            let exact = db_match(p, &database, &matrix);
+            let exact = try_db_match(p, &database, &matrix).unwrap();
             let in_frequent = r.frequent.iter().any(|x| x.pattern == *p);
             assert_eq!(in_frequent, exact >= min_match, "{p}");
         }
@@ -574,7 +574,7 @@ mod tests {
         // Exact values for a couple of mid-lattice patterns only.
         let known: Vec<(Pattern, f64)> = [pat("d3 d1"), pat("d0 d1")]
             .iter()
-            .map(|p| (p.clone(), db_match(p, &database, &matrix)))
+            .map(|p| (p.clone(), try_db_match(p, &database, &matrix).unwrap()))
             .collect();
         let with_known = try_collapse_with_known_kernel_indexed(
             AmbiguousSpace::new(patterns.clone()),

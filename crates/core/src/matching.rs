@@ -10,14 +10,25 @@
 //! optimized `O(N·(l̄ + m²))` form (§4.1), and the exact-occurrence
 //! *support* metric used by the paper as the baseline model.
 //!
+//! # Batch evaluation
+//!
+//! Phases 2 and 3 compute the same quantity — the Definition 3.7 mean match
+//! of a candidate batch — over the in-memory sample and the database
+//! respectively, and both run it through one function on one engine:
+//! `try_match_sums` (crate-private) streams the sequences through
+//! [`crate::parallel::try_scan_map_fold`] and chooses between the naive
+//! per-pattern oracle and the columnar kernel in exactly one place.
+//! [`try_db_match_many`] is its database entry point; phase 2 calls it over
+//! the sample (a `[Vec<Symbol>]` is itself a [`SequenceScan`]).
+//!
 //! # Observability
 //!
-//! Scans issued here route through [`crate::parallel::try_scan_map_reduce`],
-//! which (when the [`noisemine_obs`] registry is enabled) counts every
-//! streamed sequence in `core_scan_sequences_total` and every dispatched
-//! block in `parallel_scan_blocks_total` — covering both the phase-1 scan
-//! and the phase-3 probe scans of [`try_db_match_many`]. See
-//! `docs/OBSERVABILITY.md` for the full metric reference.
+//! When the [`noisemine_obs`] registry is enabled, database scans — the
+//! phase-1 scan and the phase-3 probe scans of [`try_db_match_many`], not
+//! phase 2's passes over the in-memory sample — count every streamed
+//! sequence in `core_scan_sequences_total` and every block in
+//! `parallel_scan_blocks_total`. See `docs/OBSERVABILITY.md` for the full
+//! metric reference.
 
 use crate::alphabet::Symbol;
 use crate::error::ScanError;
@@ -25,6 +36,7 @@ use crate::index::SkipPlan;
 use crate::match_kernel::simd::SimdScratch;
 use crate::match_kernel::{CandidateTrie, MatchKernel};
 use crate::matrix::CompatibilityMatrix;
+use crate::parallel::{resolve_threads, try_scan_map_fold, PARALLEL_THRESHOLD, SCAN_BLOCK_SIZE};
 use crate::pattern::{Pattern, PatternElem};
 
 /// A batch of sequences in flat storage, the unit of work of the block
@@ -223,7 +235,18 @@ impl SequenceScan for MemorySequences {
         self.0.len()
     }
     fn scan(&self, visit: &mut dyn FnMut(u64, &[Symbol])) {
-        for (i, s) in self.0.iter().enumerate() {
+        self.0.scan(visit)
+    }
+}
+
+/// An in-memory slice of sequences — phase 2's sample — scans like any
+/// other store, ids being positions.
+impl SequenceScan for [Vec<Symbol>] {
+    fn num_sequences(&self) -> usize {
+        self.len()
+    }
+    fn scan(&self, visit: &mut dyn FnMut(u64, &[Symbol])) {
+        for (i, s) in self.iter().enumerate() {
             visit(i as u64, s);
         }
     }
@@ -301,25 +324,14 @@ fn segment_match_pruned(
 }
 
 /// Match of a pattern in a database (Definition 3.7): the average of
-/// [`sequence_match`] over every sequence. Performs exactly one scan.
+/// [`sequence_match`] over every sequence — the single-pattern reference
+/// oracle. Performs exactly one scan and surfaces scan failures from the
+/// store as `Err`.
 ///
 /// The average is taken over the sequences the scan *actually* visited, not
 /// over the reported [`SequenceScan::num_sequences`] — the two can disagree
 /// on a store that is appended to mid-scan, and dividing by a stale report
 /// would push the result outside `[0, 1]`.
-pub fn db_match<S: SequenceScan + ?Sized>(
-    pattern: &Pattern,
-    db: &S,
-    matrix: &CompatibilityMatrix,
-) -> f64 {
-    match try_db_match(pattern, db, matrix) {
-        Ok(v) => v,
-        Err(e) => panic!("database scan failed: {e}"),
-    }
-}
-
-/// Fallible variant of [`db_match`]: surfaces scan failures from the store
-/// instead of panicking.
 pub fn try_db_match<S: SequenceScan + ?Sized>(
     pattern: &Pattern,
     db: &S,
@@ -342,14 +354,16 @@ pub fn try_db_match<S: SequenceScan + ?Sized>(
 /// building block of phase 3, where a memory-budgeted set of counters is
 /// evaluated per scan (§4.3). Returns values aligned with `patterns`.
 ///
-/// - `threads` is the worker-thread count (`0` = all available cores).
-///   The scan streams borrowed [`SequenceBlock`]s through the deterministic
-///   block pipeline of [`crate::parallel::try_scan_map_reduce`] — no
-///   per-sequence copies; a block moves to a worker and its buffer comes
-///   back for reuse. Block boundaries are the constant
-///   [`crate::parallel::SCAN_BLOCK_SIZE`] and per-block partial sums are
-///   reduced in block order, so results are bit-identical for every thread
-///   count (the thread count is purely an operational knob).
+/// - `threads` is the worker-thread count (`0` = all available cores, or
+///   the calling thread alone when patterns × sequences is below
+///   [`PARALLEL_THRESHOLD`]). The scan streams borrowed [`SequenceBlock`]s
+///   of the constant [`SCAN_BLOCK_SIZE`] through
+///   [`crate::parallel::try_scan_map_fold`] — no per-sequence copies; a
+///   block moves to a worker and its buffer comes back for reuse — and
+///   folds the per-block partial sums in block order as they arrive, so
+///   results are bit-identical for every thread count and the scan holds
+///   only the partials that finished ahead of an earlier block, not one
+///   per block.
 /// - `kernel` selects the evaluation. With [`MatchKernel::Simd`] the
 ///   candidate batch is loaded into one [`CandidateTrie`] (built once,
 ///   shared read-only by all workers; each worker carries its own
@@ -369,12 +383,11 @@ pub fn try_db_match<S: SequenceScan + ?Sized>(
 ///   `tests/property_index.rs`).
 ///
 /// The average divides by the number of sequences the scan actually
-/// visited — counted in the scan pipeline's in-order `inspect` hook, which
-/// sees every block regardless of the plan — not by the reported
-/// [`SequenceScan::num_sequences`], which keeps values in `[0, 1]` even
-/// when the store under-reports its size. A failed scan surfaces as `Err`
-/// and no partial results are returned — the probe batch must be rerun
-/// after the fault is handled.
+/// visited — which counts every block regardless of the plan — not by the
+/// reported [`SequenceScan::num_sequences`], which keeps values in `[0, 1]`
+/// even when the store under-reports its size. A failed scan surfaces as
+/// `Err` and no partial results are returned — the probe batch must be
+/// rerun after the fault is handled.
 pub fn try_db_match_many<S: SequenceScan + ?Sized>(
     patterns: &[Pattern],
     db: &S,
@@ -383,14 +396,42 @@ pub fn try_db_match_many<S: SequenceScan + ?Sized>(
     kernel: MatchKernel,
     plan: Option<&SkipPlan>,
 ) -> Result<Vec<f64>, ScanError> {
-    use crate::parallel::{
-        resolve_threads, try_scan_map_reduce, PARALLEL_THRESHOLD, SCAN_BLOCK_SIZE,
-    };
+    let (mut totals, visited) =
+        try_match_sums(patterns, db, matrix, threads, kernel, plan, SCAN_BLOCK_SIZE)?;
+    crate::obs::scan_sequences().add(visited as u64);
+    crate::obs::parallel_scan_blocks().add(visited.div_ceil(SCAN_BLOCK_SIZE) as u64);
+    if visited > 0 {
+        for t in &mut totals {
+            *t /= visited as f64;
+        }
+    }
+    Ok(totals)
+}
 
+/// Sums of each pattern's sequence match over every sequence of `db`, plus
+/// the number of sequences visited — the one batch evaluation behind
+/// phase 2 (over the sample, [`crate::parallel::CHUNK_SIZE`] blocks) and
+/// phase 3 ([`try_db_match_many`], [`SCAN_BLOCK_SIZE`] blocks). An empty
+/// batch returns without scanning.
+///
+/// Each block's partial sums start at zero, accumulate the block's
+/// sequences in scan order, and are added to the totals in block order, so
+/// `block_size` — a per-call-site constant — fixes the floating-point
+/// grouping and every thread count gives the same bits. See
+/// [`try_db_match_many`] for `threads`, `kernel` and `plan`.
+pub(crate) fn try_match_sums<S: SequenceScan + ?Sized>(
+    patterns: &[Pattern],
+    db: &S,
+    matrix: &CompatibilityMatrix,
+    threads: usize,
+    kernel: MatchKernel,
+    plan: Option<&SkipPlan>,
+    block_size: usize,
+) -> Result<(Vec<f64>, usize), ScanError> {
     let p = patterns.len();
     let mut totals = vec![0.0f64; p];
     if p == 0 {
-        return Ok(totals);
+        return Ok((totals, 0));
     }
     // With `threads = 0` (auto), skip spawning when the reported work is too
     // small to pay for it; an explicit thread count is honored as given. The
@@ -401,78 +442,54 @@ pub fn try_db_match_many<S: SequenceScan + ?Sized>(
     } else {
         resolve_threads(threads)
     };
+    let trie = (kernel == MatchKernel::Simd).then(|| {
+        crate::obs::kernel_patterns_per_scan().set(p as f64);
+        CandidateTrie::new(patterns)
+    });
     let mut visited = 0usize;
-    let partials = match kernel {
-        MatchKernel::Naive => try_scan_map_reduce(
-            db,
-            SCAN_BLOCK_SIZE,
-            threads,
-            &mut |block| visited += block.len(),
-            &|| (),
-            &|_scratch, block_idx, block| {
-                let mut partial = vec![0.0f64; p];
-                let mut stats = BlockSkipStats::default();
-                for (i, (_, seq)) in block.iter().enumerate() {
-                    if !stats.visit(plan, block_idx * SCAN_BLOCK_SIZE + i) {
-                        continue;
-                    }
-                    let mut nonzero = false;
-                    for (t, pattern) in partial.iter_mut().zip(patterns) {
-                        let v = sequence_match(pattern, seq, matrix);
-                        nonzero |= v != 0.0;
-                        *t += v;
-                    }
-                    stats.contributed(nonzero);
+    try_scan_map_fold(
+        db,
+        block_size,
+        threads,
+        &mut |block| visited += block.len(),
+        &|| trie.as_ref().map(CandidateTrie::simd_scratch),
+        &|scratch: &mut Option<SimdScratch>, block_idx, block| {
+            let mut partial = vec![0.0f64; p];
+            let mut stats = BlockSkipStats::default();
+            for (i, (_, seq)) in block.iter().enumerate() {
+                if !stats.visit(plan, block_idx * block_size + i) {
+                    continue;
                 }
-                stats.record();
-                partial
-            },
-        )?,
-        MatchKernel::Simd => {
-            let trie = CandidateTrie::new(patterns);
-            crate::obs::kernel_patterns_per_scan().set(p as f64);
-            try_scan_map_reduce(
-                db,
-                SCAN_BLOCK_SIZE,
-                threads,
-                &mut |block| visited += block.len(),
-                &|| trie.simd_scratch(),
-                &|scratch: &mut SimdScratch, block_idx, block| {
-                    let mut partial = vec![0.0f64; p];
-                    let mut stats = BlockSkipStats::default();
-                    for (i, (_, seq)) in block.iter().enumerate() {
-                        if !stats.visit(plan, block_idx * SCAN_BLOCK_SIZE + i) {
-                            continue;
-                        }
-                        // The sum variant accumulates only the patterns this
-                        // sequence actually touched — bit-identical to the
-                        // dense loop above because `x += 0.0` never changes
-                        // the bits of a non-negative partial.
-                        let nonzero = trie.batch_sequence_match_columnar_sum(
-                            seq,
-                            matrix,
-                            scratch,
-                            &mut partial,
-                        );
-                        stats.contributed(nonzero);
+                let nonzero = match (&trie, scratch.as_mut()) {
+                    // The sum variant accumulates only the patterns this
+                    // sequence actually touched — bit-identical to the
+                    // naive loop because `x += 0.0` never changes the bits
+                    // of a non-negative partial.
+                    (Some(trie), Some(scratch)) => {
+                        trie.batch_sequence_match_columnar_sum(seq, matrix, scratch, &mut partial)
                     }
-                    stats.record();
-                    partial
-                },
-            )?
-        }
-    };
-    for partial in &partials {
-        for (t, &v) in totals.iter_mut().zip(partial) {
-            *t += v;
-        }
-    }
-    if visited > 0 {
-        for t in &mut totals {
-            *t /= visited as f64;
-        }
-    }
-    Ok(totals)
+                    _ => {
+                        let mut nonzero = false;
+                        for (t, pattern) in partial.iter_mut().zip(patterns) {
+                            let v = sequence_match(pattern, seq, matrix);
+                            nonzero |= v != 0.0;
+                            *t += v;
+                        }
+                        nonzero
+                    }
+                };
+                stats.contributed(nonzero);
+            }
+            stats.record();
+            partial
+        },
+        &mut |partial| {
+            for (t, &v) in totals.iter_mut().zip(&partial) {
+                *t += v;
+            }
+        },
+    )?;
+    Ok((totals, visited))
 }
 
 /// Per-block skip accounting for the indexed scan path: candidates
@@ -546,16 +563,7 @@ pub fn sequence_support(pattern: &Pattern, sequence: &[Symbol]) -> f64 {
 
 /// Support of a pattern in a database: the fraction of sequences containing
 /// an exact occurrence. Averaged over the sequences actually visited, like
-/// [`db_match`].
-pub fn db_support<S: SequenceScan + ?Sized>(pattern: &Pattern, db: &S) -> f64 {
-    match try_db_support(pattern, db) {
-        Ok(v) => v,
-        Err(e) => panic!("database scan failed: {e}"),
-    }
-}
-
-/// Fallible variant of [`db_support`]: surfaces scan failures from the
-/// store instead of panicking.
+/// [`try_db_match`]; scan failures surface as `Err`.
 pub fn try_db_support<S: SequenceScan + ?Sized>(
     pattern: &Pattern,
     db: &S,
@@ -762,17 +770,10 @@ impl SymbolMatchScratch {
 }
 
 /// Match of every individual symbol across the whole database — the output
-/// of Algorithm 4.1 (sampling is layered on top by the miner). One scan,
-/// averaged over the sequences actually visited, like [`db_match`].
-pub fn symbol_db_match<S: SequenceScan + ?Sized>(db: &S, matrix: &CompatibilityMatrix) -> Vec<f64> {
-    match try_symbol_db_match(db, matrix) {
-        Ok(v) => v,
-        Err(e) => panic!("database scan failed: {e}"),
-    }
-}
-
-/// Fallible variant of [`symbol_db_match`]: surfaces scan failures from the
-/// store instead of panicking.
+/// of Algorithm 4.1 (sampling is layered on top by the miner) and the
+/// reference oracle for phase 1's symbol matches. One scan, averaged over
+/// the sequences actually visited, like [`try_db_match`]; scan failures
+/// surface as `Err`.
 pub fn try_symbol_db_match<S: SequenceScan + ?Sized>(
     db: &S,
     matrix: &CompatibilityMatrix,
@@ -872,7 +873,7 @@ mod tests {
         // with Figure 5(b) exactly.
         let db = fig4_db();
         let c = fig2();
-        let vals = symbol_db_match(&db, &c);
+        let vals = try_symbol_db_match(&db, &c).unwrap();
         assert!((vals[0] - 0.7).abs() < 1e-9, "d1: {}", vals[0]);
         assert!((vals[1] - 0.8).abs() < 1e-9, "d2: {}", vals[1]);
         assert!((vals[2] - 0.3875).abs() < 1e-9, "d3: {}", vals[2]);
@@ -880,7 +881,7 @@ mod tests {
         assert!((vals[4] - 0.075).abs() < 1e-9, "d5: {}", vals[4]);
         // Cross-check against the generic path.
         for (i, &v) in vals.iter().enumerate() {
-            let direct = db_match(&Pattern::single(Symbol(i as u16)), &db, &c);
+            let direct = try_db_match(&Pattern::single(Symbol(i as u16)), &db, &c).unwrap();
             assert!((v - direct).abs() < 1e-12);
         }
     }
@@ -903,7 +904,7 @@ mod tests {
             ("d5 d5", 0.0),
         ];
         for (text, expect) in cases {
-            let got = db_match(&p(text), &db, &c);
+            let got = try_db_match(&p(text), &db, &c).unwrap();
             // The paper's table rounds to three decimals (e.g. 0.2025 is
             // printed as 0.203), so allow half an ulp of that rounding.
             assert!(
@@ -932,8 +933,8 @@ mod tests {
         ];
         for (text, match_expect, support_expect) in chain {
             let pattern = p(text);
-            let m = db_match(&pattern, &db, &c);
-            let s = db_support(&pattern, &db);
+            let m = try_db_match(&pattern, &db, &c).unwrap();
+            let s = try_db_support(&pattern, &db).unwrap();
             assert!(
                 (m - match_expect).abs() < 5e-4,
                 "match of {text}: got {m}, expected {match_expect}"
@@ -968,8 +969,8 @@ mod tests {
         let db = fig4_db();
         for text in ["d1 d2", "d2 d1", "d3 * d1", "d4 d2 d1", "d2 d2"] {
             let pattern = p(text);
-            let m = db_match(&pattern, &db, &id);
-            let s = db_support(&pattern, &db);
+            let m = try_db_match(&pattern, &db, &id).unwrap();
+            let s = try_db_support(&pattern, &db).unwrap();
             assert!(
                 (m - s).abs() < 1e-12,
                 "identity-matrix match {m} != support {s} for {text}"
@@ -993,7 +994,7 @@ mod tests {
         let patterns = vec![p("d1 d2"), p("d2 d1"), p("d3 d4"), p("d5 d5")];
         let many = try_db_match_many(&patterns, &db, &c, 0, MatchKernel::default(), None).unwrap();
         for (pattern, &v) in patterns.iter().zip(&many) {
-            assert!((v - db_match(pattern, &db, &c)).abs() < 1e-12);
+            assert!((v - try_db_match(pattern, &db, &c).unwrap()).abs() < 1e-12);
         }
     }
 
@@ -1085,9 +1086,13 @@ mod tests {
         };
         let c = fig2();
         let pattern = p("d2 d1");
-        let truth = db_match(&pattern, &db.inner, &c);
-        assert!((db_match(&pattern, &db, &c) - truth).abs() < 1e-15);
-        assert!((db_support(&pattern, &db) - db_support(&pattern, &db.inner)).abs() < 1e-15);
+        let truth = try_db_match(&pattern, &db.inner, &c).unwrap();
+        assert!((try_db_match(&pattern, &db, &c).unwrap() - truth).abs() < 1e-15);
+        assert!(
+            (try_db_support(&pattern, &db).unwrap() - try_db_support(&pattern, &db.inner).unwrap())
+                .abs()
+                < 1e-15
+        );
         let many = try_db_match_many(
             std::slice::from_ref(&pattern),
             &db,
@@ -1098,9 +1103,10 @@ mod tests {
         )
         .unwrap();
         assert!((many[0] - truth).abs() < 1e-15);
-        for (got, want) in symbol_db_match(&db, &c)
+        for (got, want) in try_symbol_db_match(&db, &c)
+            .unwrap()
             .iter()
-            .zip(symbol_db_match(&db.inner, &c))
+            .zip(try_symbol_db_match(&db.inner, &c).unwrap())
         {
             assert!((got - want).abs() < 1e-15);
             assert!((0.0..=1.0).contains(got));
@@ -1112,13 +1118,16 @@ mod tests {
         let db = MemorySequences(Vec::new());
         let c = fig2();
         let pattern = p("d1 d2");
-        assert_eq!(db_match(&pattern, &db, &c), 0.0);
-        assert_eq!(db_support(&pattern, &db), 0.0);
+        assert_eq!(try_db_match(&pattern, &db, &c).unwrap(), 0.0);
+        assert_eq!(try_db_support(&pattern, &db).unwrap(), 0.0);
         assert_eq!(
             try_db_match_many(&[pattern], &db, &c, 0, MatchKernel::default(), None).unwrap(),
             vec![0.0]
         );
-        assert!(symbol_db_match(&db, &c).iter().all(|&v| v == 0.0));
+        assert!(try_symbol_db_match(&db, &c)
+            .unwrap()
+            .iter()
+            .all(|&v| v == 0.0));
     }
 
     /// A store whose scans fail with a corrupt-record error once they have
@@ -1148,7 +1157,7 @@ mod tests {
     #[test]
     fn scan_faults_surface_as_err_from_every_survivor() {
         use crate::border_collapse::{try_collapse_with_known_kernel_indexed, ProbeStrategy};
-        use crate::parallel::{try_scan_map_reduce, SCAN_BLOCK_SIZE};
+        use crate::parallel::try_scan_map_fold;
         use rand::{Rng, SeedableRng};
 
         let c = fig2();
@@ -1193,11 +1202,19 @@ mod tests {
                     assert!(got.is_err(), "{desc}: {got:?}");
                 }
             }
-            let blocks =
-                try_scan_map_reduce(&failing(0), 64, threads, &mut |_| {}, &|| (), &|_, _, b| {
-                    b.len()
-                });
+            let mut folded = 0usize;
+            let blocks = try_scan_map_fold(
+                &failing(0),
+                64,
+                threads,
+                &mut |_| {},
+                &|| (),
+                &|_, _, b| b.len(),
+                &mut |len| folded += len,
+            );
             assert!(blocks.is_err(), "threads {threads}: {blocks:?}");
+            // Only a prefix of the scan was folded before the fault.
+            assert!(folded < seqs.len(), "threads {threads}: folded {folded}");
             for ix in [None, Some(&index)] {
                 let got = collapse(&failing(1), threads, ix);
                 assert!(

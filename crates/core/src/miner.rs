@@ -39,7 +39,7 @@ use crate::lattice::{AmbiguousSpace, Border};
 use crate::match_kernel::MatchKernel;
 use crate::matching::{SequenceBlock, SequenceScan, SymbolMatchScratch};
 use crate::matrix::CompatibilityMatrix;
-use crate::parallel::{resolve_threads, try_scan_map_reduce, SCAN_BLOCK_SIZE};
+use crate::parallel::{resolve_threads, try_scan_map_fold, SCAN_BLOCK_SIZE};
 use crate::pattern::Pattern;
 use crate::sample_miner::{mine_sample_budgeted_kernel, DEFAULT_MAX_SAMPLE_PATTERNS};
 
@@ -245,9 +245,9 @@ pub struct Phase1Output {
 }
 
 /// The phase-1 sequence sampler: Vitter's sequential sampling within the
-/// reported database size, hardened with the same reservoir fallback as
-/// `noisemine-seqdb`'s `sequential_sample` for scans that yield more
-/// sequences than [`SequenceScan::num_sequences`] reported (a store being
+/// reported database size, hardened with a reservoir (Algorithm R)
+/// fallback for scans that yield more sequences than
+/// [`SequenceScan::num_sequences`] reported (a store being
 /// appended to concurrently). Without the fallback, `reported - seen`
 /// underflows on the first surplus sequence — a panic in debug builds, a
 /// corrupted inclusion probability in release builds.
@@ -309,10 +309,11 @@ impl SequentialSampler {
 ///
 /// `threads` is the worker-thread count (`0` = all available cores). The
 /// scan streams blocks of [`SCAN_BLOCK_SIZE`] sequences through
-/// [`try_scan_map_reduce`]: per-symbol matches accumulate on worker
+/// [`try_scan_map_fold`]: per-symbol matches accumulate on worker
 /// threads (one [`SymbolMatchScratch`] per worker) into per-block partial
-/// sums that are reduced in block order, while sequential sampling runs on
-/// the in-order block stream *before* the fan-out — so both the symbol
+/// sums that are folded in block order as they arrive, while sequential
+/// sampling runs on the in-order block stream *before* the fan-out (which
+/// also counts the scan's sequences and blocks) — so both the symbol
 /// matches and the seeded sample are bit-identical at every thread count.
 /// The final average divides by the number of sequences actually visited,
 /// not the reported count, and the sampler falls back to reservoir
@@ -342,11 +343,14 @@ pub fn try_phase1_threads_indexed<S: SequenceScan + ?Sized>(
     let threads = resolve_threads(threads);
     let mut sampler = SequentialSampler::new(sample_size, db.num_sequences());
     let mut builder = build_index.then(|| SymbolIndexBuilder::new(m));
-    let partials = try_scan_map_reduce(
+    let mut match_acc = vec![0.0f64; m];
+    try_scan_map_fold(
         db,
         SCAN_BLOCK_SIZE,
         threads,
         &mut |block| {
+            crate::obs::parallel_scan_blocks().inc();
+            crate::obs::scan_sequences().add(block.len() as u64);
             for (_, seq) in block.iter() {
                 sampler.offer(seq, rng);
                 if let Some(b) = builder.as_mut() {
@@ -364,13 +368,12 @@ pub fn try_phase1_threads_indexed<S: SequenceScan + ?Sized>(
             }
             partial
         },
+        &mut |partial| {
+            for (acc, &v) in match_acc.iter_mut().zip(&partial) {
+                *acc += v;
+            }
+        },
     )?;
-    let mut match_acc = vec![0.0f64; m];
-    for partial in &partials {
-        for (acc, &v) in match_acc.iter_mut().zip(partial) {
-            *acc += v;
-        }
-    }
     let (sample, visited) = sampler.finish();
     if visited > 0 {
         for v in &mut match_acc {
@@ -576,7 +579,7 @@ pub fn assemble_outcome(
 mod tests {
     use super::*;
     use crate::alphabet::Alphabet;
-    use crate::matching::{db_match, MemorySequences};
+    use crate::matching::{try_db_match, MemorySequences};
 
     fn db() -> MemorySequences {
         let a = Alphabet::synthetic(5);
@@ -615,7 +618,7 @@ mod tests {
             assert!(database.0.contains(s));
         }
         // Symbol matches agree with the standalone implementation.
-        let expect = crate::matching::symbol_db_match(&database, &matrix);
+        let expect = crate::matching::try_symbol_db_match(&database, &matrix).unwrap();
         for (a, b) in out.symbol_match.iter().zip(&expect) {
             assert!((a - b).abs() < 1e-12);
         }
@@ -644,7 +647,7 @@ mod tests {
         let out = mine(&database, &matrix, &cfg).unwrap();
         assert!(!out.frequent.is_empty());
         for f in &out.frequent {
-            let exact = db_match(&f.pattern, &database, &matrix);
+            let exact = try_db_match(&f.pattern, &database, &matrix).unwrap();
             assert!(
                 exact >= cfg.min_match - 1e-12,
                 "{} reported frequent but exact match {exact} < {}",
@@ -765,7 +768,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let (out, _) =
             try_phase1_threads_indexed(&database, &matrix, 3, &mut rng, 0, false).unwrap();
-        let expect = crate::matching::symbol_db_match(&database.inner, &matrix);
+        let expect = crate::matching::try_symbol_db_match(&database.inner, &matrix).unwrap();
         for (a, b) in out.symbol_match.iter().zip(&expect) {
             assert!((a - b).abs() < 1e-12);
         }
@@ -782,7 +785,7 @@ mod tests {
         let out = mine(&database, &matrix, &cfg).unwrap();
         assert!(!out.frequent.is_empty());
         for f in &out.frequent {
-            let exact = db_match(&f.pattern, &database.inner, &matrix);
+            let exact = try_db_match(&f.pattern, &database.inner, &matrix).unwrap();
             assert!(
                 exact >= cfg.min_match - 1e-12,
                 "{} frequent but exact match {exact} < {}",

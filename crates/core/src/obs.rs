@@ -206,7 +206,8 @@ counter!(
     "sequences"
 );
 
-// Deterministic scan map-reduce (phases 1 and 3 share it).
+// Deterministic scan map-fold (phases 1, 2 and 3 share it; the counters
+// cover the phase-1 and phase-3 database scans only).
 counter!(
     scan_sequences,
     "core_scan_sequences_total",

@@ -1,46 +1,38 @@
-//! Deterministic parallel kernels: chunked match evaluation for
-//! memory-resident data, and the block-scan map-reduce that parallelizes
-//! the full-database scans of phases 1 and 3.
+//! The deterministic block-scan engine shared by every batch evaluation:
+//! the phase-1 symbol scan, phase-2 candidate batches over the in-memory
+//! sample, and phase-3 probe scans of the database.
 //!
-//! Phase 2 evaluates every candidate against every sample sequence — an
-//! embarrassingly parallel product that dominates wall-clock time on large
-//! samples. This module splits the sample into fixed-size chunks, processes
-//! chunks across threads, and reduces the per-chunk partial sums **in chunk
-//! order**, so results are bit-for-bit identical for any thread count
-//! (including 1). Chunk boundaries are a constant, not a function of the
-//! thread count, which is what makes the reduction order stable.
-//!
-//! [`try_scan_map_reduce`] extends the same determinism contract to streaming
-//! scans over a [`SequenceScan`]: the scan is cut into blocks of exactly
-//! [`SCAN_BLOCK_SIZE`] sequences, per-block results are computed on worker
-//! threads, and the caller receives them **in block order** — so any fold
-//! over them is bit-identical at every thread count, while order-sensitive
-//! work (sequential sampling) runs on the in-order block stream before the
-//! fan-out.
+//! [`try_scan_map_fold`] cuts a [`SequenceScan`] into blocks of a fixed
+//! size, maps each block on a worker thread, and hands the per-block
+//! results to the caller's fold **in block order**, each as soon as every
+//! earlier block has been folded. Block boundaries are a per-call-site
+//! constant ([`CHUNK_SIZE`] for the sample, [`SCAN_BLOCK_SIZE`] for
+//! database scans), never a function of the thread count, so any fold over
+//! the results — in particular floating-point sums, whose addition is not
+//! associative — is bit-identical at every thread count (including 1).
+//! Order-sensitive work (sequential sampling) runs on the in-order block
+//! stream before the fan-out.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 
 use crate::error::ScanError;
-use crate::match_kernel::{CandidateTrie, MatchKernel};
-use crate::matching::{sequence_match, SequenceBlock, SequenceScan};
-use crate::matrix::CompatibilityMatrix;
-use crate::pattern::Pattern;
-use crate::Symbol;
+use crate::matching::{SequenceBlock, SequenceScan};
 
-/// Sequences per work chunk. Constant so that chunk boundaries (and thus
-/// the floating-point reduction order) do not depend on the thread count.
+/// Sequences per block when phase 2 evaluates a candidate batch over the
+/// in-memory sample. Constant so that block boundaries (and thus the
+/// floating-point reduction order) do not depend on the thread count.
 pub const CHUNK_SIZE: usize = 64;
 
-/// Sequences per scan block in [`try_scan_map_reduce`]. Like [`CHUNK_SIZE`],
-/// this is a constant so the per-block accumulation grouping — and with it
-/// every floating-point result derived from a block scan — is independent
-/// of machine, thread count, and backing store.
+/// Sequences per block of a database scan (phases 1 and 3). Like
+/// [`CHUNK_SIZE`], this is a constant so the per-block accumulation
+/// grouping — and with it every floating-point result derived from a block
+/// scan — is independent of machine, thread count, and backing store.
 pub const SCAN_BLOCK_SIZE: usize = 256;
 
-/// Work size (patterns × sequences) below which the serial path is used —
-/// thread startup costs more than it saves.
+/// Work size (patterns × sequences) below which an automatic thread count
+/// (`threads = 0`) evaluates a batch on the calling thread — thread startup
+/// costs more than it saves.
 pub const PARALLEL_THRESHOLD: usize = 50_000;
 
 /// Resolves a thread-count knob: `0` means all available cores.
@@ -52,54 +44,56 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Runs a deterministic map-reduce over the blocks of one database scan.
+/// Runs a deterministic map-fold over the blocks of one scan.
 ///
 /// - `inspect` runs on the scanning thread, in block order, *before* the
 ///   block is handed to a worker — the hook for order-sensitive work
-///   (sequential sampling, visit counting).
+///   (sequential sampling, visit and scan counting).
 /// - `map` runs on one of `threads` workers with that worker's private
 ///   scratch value (from `make_scratch`) and the block's zero-based index
 ///   in scan order, producing one `T` per block. The index gives the
 ///   ordinal of the block's first sequence (`index * block_size`) — the
 ///   addressing scheme of [`crate::index::SkipPlan`].
+/// - `fold` runs on the scanning thread and receives the per-block results
+///   **in block order**, regardless of which worker produced each or when.
+///   A result is folded as soon as every earlier block has been, and is
+///   then dropped, so only results that finished ahead of an earlier block
+///   are held — a few per worker, not one per block.
 ///
-/// Returns the per-block results **in block order**, regardless of which
-/// worker produced each or when. Block boundaries are fixed by
-/// `block_size`, so the caller's fold over the results is bit-identical for
-/// every thread count; with `threads <= 1` everything runs on the calling
-/// thread with the same block grouping. Blocks circulate by value — worker
-/// → scanner → refill — so the steady state allocates nothing and never
-/// copies a sequence out of its block.
+/// Block boundaries are fixed by `block_size`, so the fold is bit-identical
+/// for every thread count; with `threads <= 1` everything runs on the
+/// calling thread with the same block grouping. Blocks circulate by value —
+/// worker → scanner → refill — so the steady state allocates nothing and
+/// never copies a sequence out of its block.
 ///
 /// If the underlying scan fails ([`SequenceScan::try_scan_blocks`] returns
 /// `Err`), in-flight worker results are drained and discarded and the scan
-/// error is returned. No partial per-block results escape — a failed scan
-/// yields `Err`, never a shortened result vector.
-pub fn try_scan_map_reduce<S, W, T>(
+/// error is returned. Whatever `fold` received before the failure is a
+/// prefix of the scan; the caller must discard it, as it discards the
+/// `Err`-returning scan itself.
+pub fn try_scan_map_fold<S, W, T>(
     db: &S,
     block_size: usize,
     threads: usize,
     inspect: &mut dyn FnMut(&SequenceBlock),
     make_scratch: &(dyn Fn() -> W + Sync),
     map: &(dyn Fn(&mut W, usize, &SequenceBlock) -> T + Sync),
-) -> Result<Vec<T>, ScanError>
+    fold: &mut dyn FnMut(T),
+) -> Result<(), ScanError>
 where
     S: SequenceScan + ?Sized,
     T: Send,
 {
     crate::obs::parallel_scan_workers().set(threads.max(1) as f64);
     if threads <= 1 {
-        let mut results = Vec::new();
         let mut scratch = make_scratch();
-        db.try_scan_blocks(block_size, &mut |block| {
+        let mut next = 0usize;
+        return db.try_scan_blocks(block_size, &mut |block| {
             inspect(&block);
-            crate::obs::parallel_scan_blocks().inc();
-            crate::obs::scan_sequences().add(block.len() as u64);
-            let idx = results.len();
-            results.push(map(&mut scratch, idx, &block));
+            fold(map(&mut scratch, next, &block));
+            next += 1;
             block
-        })?;
-        return Ok(results);
+        });
     }
 
     // Everything the scoped threads borrow must be declared before the
@@ -107,7 +101,6 @@ where
     let (work_tx, work_rx) = mpsc::sync_channel::<(usize, SequenceBlock)>(threads * 2);
     let work_rx = Mutex::new(work_rx);
     let (done_tx, done_rx) = mpsc::channel::<(usize, T, SequenceBlock)>();
-    let mut slots: Vec<Option<T>> = Vec::new();
     let mut scanned: Result<(), ScanError> = Ok(());
     std::thread::scope(|scope| {
         for _ in 0..threads {
@@ -131,192 +124,54 @@ where
         // once they all finish.
         drop(done_tx);
 
+        let mut reorder = InOrder {
+            waiting: BTreeMap::new(),
+            folded: 0,
+        };
         let mut next = 0usize;
-        let mut completed = 0usize;
         let mut spare: Vec<SequenceBlock> = Vec::new();
         scanned = db.try_scan_blocks(block_size, &mut |block| {
             inspect(&block);
-            crate::obs::parallel_scan_blocks().inc();
-            crate::obs::scan_sequences().add(block.len() as u64);
             work_tx
                 .send((next, block))
                 .expect("scan workers exited early");
             next += 1;
-            // Opportunistically collect finished results and recycle their
+            // Opportunistically fold finished results and recycle their
             // blocks back into the scan.
             while let Ok((idx, value, recycled)) = done_rx.try_recv() {
-                store(&mut slots, idx, value);
-                completed += 1;
+                reorder.push(idx, value, fold);
                 spare.push(recycled);
             }
-            crate::obs::parallel_reduce_queue_peak().set_max((next - completed) as f64);
+            crate::obs::parallel_reduce_queue_peak().set_max((next - reorder.folded) as f64);
             spare.pop().unwrap_or_default()
         });
         // Closing the work channel ends the worker loops; drain whatever is
         // still in flight (even after a failed scan, so workers shut down
-        // cleanly before the scope's implicit join).
+        // cleanly before the scope's implicit join), folding it only when
+        // the scan succeeded.
         drop(work_tx);
         for (idx, value, _) in done_rx.iter() {
-            store(&mut slots, idx, value);
-        }
-    });
-    scanned?;
-    Ok(slots
-        .into_iter()
-        .map(|slot| slot.expect("scan worker produced no result for a block"))
-        .collect())
-}
-
-fn store<T>(slots: &mut Vec<Option<T>>, idx: usize, value: T) {
-    if slots.len() <= idx {
-        slots.resize_with(idx + 1, || None);
-    }
-    slots[idx] = Some(value);
-}
-
-/// Sum over all sequences of each pattern's sequence match, computed with
-/// up to `threads` worker threads. Returns sums (not means) aligned with
-/// `patterns`. The accumulation grouping is fixed by [`CHUNK_SIZE`], not by
-/// the thread count, so every thread count produces bit-identical results.
-///
-/// With [`MatchKernel::Simd`] the pattern batch is loaded into one
-/// [`CandidateTrie`] shared read-only by every worker (each with private
-/// scratch). Per-(pattern, sequence) values are bit-identical to
-/// [`sequence_match`] and the [`CHUNK_SIZE`] accumulation grouping is
-/// unchanged, so both kernels produce bit-identical sums at every thread
-/// count.
-pub fn sum_sequence_matches(
-    patterns: &[Pattern],
-    sequences: &[Vec<Symbol>],
-    matrix: &CompatibilityMatrix,
-    threads: usize,
-    kernel: MatchKernel,
-) -> Vec<f64> {
-    let p = patterns.len();
-    if p == 0 || sequences.is_empty() {
-        return vec![0.0; p];
-    }
-    let trie = match kernel {
-        MatchKernel::Naive => None,
-        MatchKernel::Simd => {
-            crate::obs::kernel_patterns_per_scan().set(p as f64);
-            Some(CandidateTrie::new(patterns))
-        }
-    };
-    // One reusable evaluation context per worker thread.
-    let make_eval = || EvalContext::new(patterns, matrix, trie.as_ref());
-    let threads = threads.max(1).min(sequences.len().div_ceil(CHUNK_SIZE));
-    if threads == 1 || p * sequences.len() < PARALLEL_THRESHOLD {
-        // Serial path, but with the *same* chunked accumulation grouping as
-        // the parallel path, so every thread count produces bit-identical
-        // sums (floating-point addition is not associative).
-        let mut eval = make_eval();
-        let mut totals = vec![0.0f64; p];
-        let mut partial = vec![0.0f64; p];
-        for chunk in sequences.chunks(CHUNK_SIZE) {
-            partial.fill(0.0);
-            eval.accumulate(chunk, &mut partial);
-            for (t, &v) in totals.iter_mut().zip(&partial) {
-                *t += v;
-            }
-        }
-        return totals;
-    }
-
-    let chunks: Vec<&[Vec<Symbol>]> = sequences.chunks(CHUNK_SIZE).collect();
-    let next = AtomicUsize::new(0);
-    let (done_tx, done_rx) = mpsc::channel::<(usize, Vec<f64>)>();
-    let mut totals = vec![0.0f64; p];
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let (done_tx, chunks, next, make_eval) = (done_tx.clone(), &chunks, &next, &make_eval);
-            scope.spawn(move || {
-                let mut eval = make_eval();
-                loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(chunk) = chunks.get(idx) else { break };
-                    let mut partial = vec![0.0f64; p];
-                    eval.accumulate(chunk, &mut partial);
-                    if done_tx.send((idx, partial)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        // Workers hold their own clones; drop ours so `done_rx` disconnects
-        // once they all finish.
-        drop(done_tx);
-        // Ordered reduction: chunk 0 + chunk 1 + … regardless of which
-        // thread produced each. A partial is folded as soon as every
-        // earlier chunk has been, then dropped, so only the partials that
-        // finished ahead of an earlier chunk are held — not one per chunk.
-        let mut waiting: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
-        let mut folded = 0usize;
-        for (idx, partial) in done_rx {
-            waiting.insert(idx, partial);
-            while let Some(partial) = waiting.remove(&folded) {
-                for (t, &v) in totals.iter_mut().zip(&partial) {
-                    *t += v;
-                }
-                folded += 1;
+            if scanned.is_ok() {
+                reorder.push(idx, value, fold);
             }
         }
     });
-    totals
+    scanned
 }
 
-/// One worker's evaluation state: either the naive per-pattern loop or a
-/// shared [`CandidateTrie`] plus this worker's private columnar scratch.
-enum EvalContext<'a> {
-    Naive {
-        patterns: &'a [Pattern],
-        matrix: &'a CompatibilityMatrix,
-    },
-    Simd {
-        trie: &'a CandidateTrie,
-        matrix: &'a CompatibilityMatrix,
-        scratch: Box<crate::match_kernel::simd::SimdScratch>,
-    },
+/// The ordered fold of [`try_scan_map_fold`]'s parallel path: results that
+/// arrive ahead of an earlier block wait here until it has been folded.
+struct InOrder<T> {
+    waiting: BTreeMap<usize, T>,
+    folded: usize,
 }
 
-impl<'a> EvalContext<'a> {
-    fn new(
-        patterns: &'a [Pattern],
-        matrix: &'a CompatibilityMatrix,
-        trie: Option<&'a CandidateTrie>,
-    ) -> Self {
-        match trie {
-            None => Self::Naive { patterns, matrix },
-            Some(trie) => Self::Simd {
-                trie,
-                matrix,
-                scratch: Box::new(trie.simd_scratch()),
-            },
-        }
-    }
-
-    /// Adds each pattern's sequence match over `sequences` into `totals`,
-    /// in sequence order — the same addition order for both variants. The
-    /// columnar kernel adds only the patterns a sequence touched: `x + 0.0`
-    /// never changes the bits of a non-negative total.
-    fn accumulate(&mut self, sequences: &[Vec<Symbol>], totals: &mut [f64]) {
-        match self {
-            Self::Naive { patterns, matrix } => {
-                for seq in sequences {
-                    for (total, pattern) in totals.iter_mut().zip(*patterns) {
-                        *total += sequence_match(pattern, seq, matrix);
-                    }
-                }
-            }
-            Self::Simd {
-                trie,
-                matrix,
-                scratch,
-            } => {
-                for seq in sequences {
-                    trie.batch_sequence_match_columnar_sum(seq, matrix, scratch, totals);
-                }
-            }
+impl<T> InOrder<T> {
+    fn push(&mut self, idx: usize, value: T, fold: &mut dyn FnMut(T)) {
+        self.waiting.insert(idx, value);
+        while let Some(value) = self.waiting.remove(&self.folded) {
+            fold(value);
+            self.folded += 1;
         }
     }
 }
@@ -324,10 +179,13 @@ impl<'a> EvalContext<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Alphabet;
+    use crate::match_kernel::MatchKernel;
+    use crate::matching::{sequence_match, try_match_sums, MemorySequences};
+    use crate::matrix::CompatibilityMatrix;
+    use crate::pattern::Pattern;
+    use crate::Symbol;
 
     fn workload() -> (Vec<Pattern>, Vec<Vec<Symbol>>, CompatibilityMatrix) {
-        let a = Alphabet::synthetic(6);
         let patterns: Vec<Pattern> = (0..6u16)
             .flat_map(|x| {
                 (0..6u16).map(move |y| Pattern::contiguous(&[Symbol(x), Symbol(y)]).unwrap())
@@ -340,24 +198,39 @@ mod tests {
                     .collect()
             })
             .collect();
-        let _ = a;
         let matrix = CompatibilityMatrix::uniform_noise(6, 0.2).unwrap();
         (patterns, sequences, matrix)
+    }
+
+    /// Per-pattern sums over the sample in [`CHUNK_SIZE`] blocks — the
+    /// phase-2 evaluation.
+    fn sample_sums(
+        patterns: &[Pattern],
+        sequences: &[Vec<Symbol>],
+        matrix: &CompatibilityMatrix,
+        threads: usize,
+    ) -> Vec<f64> {
+        let kernel = MatchKernel::default();
+        let (sums, visited) = try_match_sums(
+            patterns, sequences, matrix, threads, kernel, None, CHUNK_SIZE,
+        )
+        .unwrap();
+        // An empty batch returns without scanning.
+        let scanned = if patterns.is_empty() {
+            0
+        } else {
+            sequences.len()
+        };
+        assert_eq!(visited, scanned);
+        sums
     }
 
     #[test]
     fn parallel_equals_serial_bit_for_bit() {
         let (patterns, sequences, matrix) = workload();
-        let serial =
-            sum_sequence_matches(&patterns, &sequences, &matrix, 1, MatchKernel::default());
+        let serial = sample_sums(&patterns, &sequences, &matrix, 1);
         for threads in [2, 3, 8] {
-            let parallel = sum_sequence_matches(
-                &patterns,
-                &sequences,
-                &matrix,
-                threads,
-                MatchKernel::default(),
-            );
+            let parallel = sample_sums(&patterns, &sequences, &matrix, threads);
             assert_eq!(serial, parallel, "threads = {threads}");
         }
     }
@@ -365,7 +238,7 @@ mod tests {
     #[test]
     fn agrees_with_direct_computation() {
         let (patterns, sequences, matrix) = workload();
-        let sums = sum_sequence_matches(&patterns, &sequences, &matrix, 4, MatchKernel::default());
+        let sums = sample_sums(&patterns, &sequences, &matrix, 4);
         for (p, &s) in patterns.iter().zip(&sums).take(5) {
             let direct: f64 = sequences
                 .iter()
@@ -378,12 +251,10 @@ mod tests {
     #[test]
     fn empty_inputs() {
         let (_, sequences, matrix) = workload();
-        assert!(
-            sum_sequence_matches(&[], &sequences, &matrix, 4, MatchKernel::default()).is_empty()
-        );
+        assert!(sample_sums(&[], &sequences, &matrix, 4).is_empty());
         let (patterns, _, matrix2) = workload();
         assert_eq!(
-            sum_sequence_matches(&patterns, &[], &matrix2, 4, MatchKernel::default()),
+            sample_sums(&patterns, &[], &matrix2, 4),
             vec![0.0; patterns.len()]
         );
     }
@@ -392,27 +263,30 @@ mod tests {
     fn small_work_takes_serial_path() {
         let (patterns, sequences, matrix) = workload();
         let tiny = &sequences[..2];
-        let v = sum_sequence_matches(&patterns[..2], tiny, &matrix, 8, MatchKernel::default());
+        // Automatic threading (`0`) keeps work below `PARALLEL_THRESHOLD`
+        // on the calling thread; the sums equal an explicit serial run.
+        let v = sample_sums(&patterns[..2], tiny, &matrix, 0);
         assert_eq!(v.len(), 2);
+        assert_eq!(v, sample_sums(&patterns[..2], tiny, &matrix, 1));
+        assert_eq!(v, sample_sums(&patterns[..2], tiny, &matrix, 8));
     }
 
     #[test]
-    fn try_scan_map_reduce_returns_results_in_block_order() {
-        let db = crate::matching::MemorySequences(
-            (0..1000u16).map(|i| vec![Symbol(i % 6); 2]).collect(),
-        );
+    fn try_scan_map_fold_folds_results_in_block_order() {
+        let db = MemorySequences((0..1000u16).map(|i| vec![Symbol(i % 6); 2]).collect());
         for threads in [1, 2, 3, 8] {
             let mut inspected = Vec::new();
-            let ids = try_scan_map_reduce(
+            let mut flat = Vec::new();
+            try_scan_map_fold(
                 &db,
                 64,
                 threads,
                 &mut |block| inspected.push(block.get(0).0),
                 &|| (),
                 &|_, _, block| block.iter().map(|(id, _)| id).collect::<Vec<u64>>(),
+                &mut |ids| flat.extend(ids),
             )
             .unwrap();
-            let flat: Vec<u64> = ids.into_iter().flatten().collect();
             assert_eq!(
                 flat,
                 (0..1000u64).collect::<Vec<_>>(),
@@ -424,12 +298,13 @@ mod tests {
     }
 
     #[test]
-    fn try_scan_map_reduce_serial_and_parallel_agree_bitwise() {
+    fn try_scan_map_fold_serial_and_parallel_agree_bitwise() {
         let (_, sequences, matrix) = workload();
-        let db = crate::matching::MemorySequences(sequences);
+        let db = MemorySequences(sequences);
         let pattern = Pattern::contiguous(&[Symbol(1), Symbol(2)]).unwrap();
         let run = |threads: usize| -> Vec<f64> {
-            try_scan_map_reduce(
+            let mut sums = Vec::new();
+            try_scan_map_fold(
                 &db,
                 SCAN_BLOCK_SIZE,
                 threads,
@@ -441,8 +316,10 @@ mod tests {
                         .map(|(_, seq)| sequence_match(&pattern, seq, &matrix))
                         .sum::<f64>()
                 },
+                &mut |sum| sums.push(sum),
             )
-            .unwrap()
+            .unwrap();
+            sums
         };
         let serial = run(1);
         for threads in [2, 4, 16] {
@@ -451,10 +328,19 @@ mod tests {
     }
 
     #[test]
-    fn try_scan_map_reduce_on_empty_db() {
-        let db = crate::matching::MemorySequences(Vec::new());
-        let out = try_scan_map_reduce(&db, 8, 4, &mut |_| {}, &|| (), &|_, _, block| block.len())
-            .unwrap();
-        assert!(out.is_empty());
+    fn try_scan_map_fold_on_empty_db() {
+        let db = MemorySequences(Vec::new());
+        let mut folded = 0usize;
+        try_scan_map_fold(
+            &db,
+            8,
+            4,
+            &mut |_| {},
+            &|| (),
+            &|_, _, block| block.len(),
+            &mut |_| folded += 1,
+        )
+        .unwrap();
+        assert_eq!(folded, 0);
     }
 }

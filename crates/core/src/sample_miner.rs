@@ -16,7 +16,9 @@ use crate::candidates::{next_level, LevelTrace, PatternSpace};
 use crate::chernoff::{classify, epsilon, Label, SpreadMode};
 use crate::lattice::Border;
 use crate::match_kernel::MatchKernel;
+use crate::matching::try_match_sums;
 use crate::matrix::CompatibilityMatrix;
+use crate::parallel::CHUNK_SIZE;
 use crate::pattern::Pattern;
 
 /// Default ceiling on the number of candidate patterns phase 2 may
@@ -92,7 +94,7 @@ pub fn mine_sample_budgeted_kernel(
     let mut survivors: Vec<Pattern> = Vec::new();
     let mut surviving_symbols: Vec<Symbol> = Vec::new();
 
-    let values = sample_matches(&level1, sample, matrix, n, kernel);
+    let values = sample_matches(&level1, sample, matrix, n, kernel, 0);
     let mut level_survivors = 0usize;
     for (pattern, value) in level1.iter().zip(&values) {
         let label = label_pattern(
@@ -161,7 +163,7 @@ pub fn mine_sample_budgeted_kernel(
             result.truncated = true;
             break;
         }
-        let values = sample_matches(&candidates, sample, matrix, n, kernel);
+        let values = sample_matches(&candidates, sample, matrix, n, kernel, 0);
         let mut next_survivors = Vec::new();
         let mut survived = 0usize;
         for (pattern, value) in candidates.iter().zip(&values) {
@@ -189,19 +191,22 @@ pub fn mine_sample_budgeted_kernel(
 }
 
 /// Sample match of each pattern: the mean of its sequence match over the
-/// sample (footnote 7). Large candidate batches are evaluated across all
-/// available cores with a deterministic, chunk-ordered reduction (see
-/// [`crate::parallel`]); results are identical to the serial computation.
+/// sample (footnote 7). The batch runs through the same evaluation as a
+/// phase-3 probe scan ([`crate::matching::try_db_match_many`]), over the
+/// sample in [`CHUNK_SIZE`]-sequence blocks folded in block order, so the
+/// result is identical to the serial computation at any `threads` (`0` =
+/// every available core once the batch is large enough to pay for it).
 fn sample_matches(
     patterns: &[Pattern],
     sample: &[Vec<Symbol>],
     matrix: &CompatibilityMatrix,
     n: usize,
     kernel: MatchKernel,
+    threads: usize,
 ) -> Vec<f64> {
-    let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
-    let mut totals =
-        crate::parallel::sum_sequence_matches(patterns, sample, matrix, threads, kernel);
+    let (mut totals, _) =
+        try_match_sums(patterns, sample, matrix, threads, kernel, None, CHUNK_SIZE)
+            .expect("an in-memory sample cannot fail to scan");
     for t in &mut totals {
         *t /= n as f64;
     }
@@ -248,7 +253,7 @@ fn record(result: &mut SampleMineResult, pattern: Pattern, value: f64, label: La
 mod tests {
     use super::*;
     use crate::alphabet::Alphabet;
-    use crate::matching::{db_match, MemorySequences, SequenceScan};
+    use crate::matching::{try_db_match, MemorySequences, SequenceScan};
 
     fn sample_db() -> (Vec<Vec<Symbol>>, CompatibilityMatrix) {
         let a = Alphabet::synthetic(5);
@@ -298,7 +303,7 @@ mod tests {
     fn sample_match_equals_db_match_when_sample_is_whole_db() {
         let (sample, matrix) = sample_db();
         let db = MemorySequences(sample.clone());
-        let symbol_match = crate::matching::symbol_db_match(&db, &matrix);
+        let symbol_match = crate::matching::try_symbol_db_match(&db, &matrix).unwrap();
         let space = PatternSpace::contiguous(3);
         let r = mine_sample_budgeted_kernel(
             &sample,
@@ -312,7 +317,7 @@ mod tests {
             MatchKernel::default(),
         );
         for (p, (v, _)) in &r.labels {
-            let exact = db_match(p, &db, &matrix);
+            let exact = try_db_match(p, &db, &matrix).unwrap();
             assert!(
                 (v - exact).abs() < 1e-12,
                 "{p}: sample {v} != exact {exact}"
@@ -422,5 +427,65 @@ mod tests {
             MatchKernel::default(),
         );
         assert!(r.frequent.is_empty());
+    }
+
+    /// Phase 2's reduction is pinned: every sample value, at every thread
+    /// count and on both kernels, equals bit for bit the naive per-pattern
+    /// `sequence_match` summed in 64-sequence chunks, the chunk sums folded
+    /// in order, divided by `n`. Any other grouping (e.g. the 256-sequence
+    /// blocks of a database scan) changes the last bits on a dense-noise
+    /// matrix and fails here.
+    #[test]
+    fn sample_values_are_pinned_to_ordered_64_sequence_chunks() {
+        use crate::matching::{sequence_match, try_symbol_db_match};
+        use rand::{Rng, SeedableRng};
+
+        let m = 8u16;
+        let matrix = CompatibilityMatrix::uniform_noise(m as usize, 0.3).unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(64);
+        let sample: Vec<Vec<Symbol>> = (0..64 * 3 + 109)
+            .map(|_| {
+                let len = rng.gen_range(6..16usize);
+                (0..len).map(|_| Symbol(rng.gen_range(0..m))).collect()
+            })
+            .collect();
+        let n = sample.len();
+        let oracle = |p: &Pattern| -> f64 {
+            let mut total = 0.0f64;
+            for chunk in sample.chunks(64) {
+                let mut partial = 0.0f64;
+                for seq in chunk {
+                    partial += sequence_match(p, seq, &matrix);
+                }
+                total += partial;
+            }
+            total / n as f64
+        };
+        let symbol_match = try_symbol_db_match(sample.as_slice(), &matrix).unwrap();
+        for kernel in [MatchKernel::Naive, MatchKernel::Simd] {
+            let r = mine_sample_budgeted_kernel(
+                &sample,
+                &matrix,
+                &symbol_match,
+                0.05,
+                0.01,
+                SpreadMode::Restricted,
+                &PatternSpace::contiguous(3),
+                DEFAULT_MAX_SAMPLE_PATTERNS,
+                kernel,
+            );
+            assert_eq!(r.trace.levels(), 3, "{kernel:?}");
+            for (p, (v, _)) in &r.labels {
+                assert_eq!(v.to_bits(), oracle(p).to_bits(), "{kernel:?} {p}");
+            }
+            let patterns: Vec<Pattern> = r.labels.keys().cloned().collect();
+            for threads in [1, 2, 8] {
+                let values = sample_matches(&patterns, &sample, &matrix, n, kernel, threads);
+                for (p, v) in patterns.iter().zip(&values) {
+                    let want = oracle(p).to_bits();
+                    assert_eq!(v.to_bits(), want, "{kernel:?}, threads {threads}: {p}");
+                }
+            }
+        }
     }
 }

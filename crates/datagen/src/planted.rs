@@ -182,7 +182,7 @@ fn embed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noisemine_core::matching::{db_support, MemorySequences};
+    use noisemine_core::matching::{try_db_support, MemorySequences};
     use noisemine_core::Alphabet;
 
     #[test]
@@ -226,7 +226,7 @@ mod tests {
         };
         let seqs = generate(&cfg);
         let db = MemorySequences(seqs);
-        let support = db_support(&motif, &db);
+        let support = try_db_support(&motif, &db).unwrap();
         assert!(
             (support - 0.5).abs() < 0.08,
             "support {support}, expected about 0.5"
@@ -246,7 +246,7 @@ mod tests {
         };
         let db = MemorySequences(generate(&cfg));
         // Every sequence must contain the gapped pattern exactly.
-        assert!((db_support(&motif, &db) - 1.0).abs() < 1e-12);
+        assert!((try_db_support(&motif, &db).unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -183,7 +183,7 @@ pub fn accuracy_completeness<T: std::hash::Hash + Eq>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noisemine_core::matching::{db_support, MemorySequences};
+    use noisemine_core::matching::{try_db_support, MemorySequences};
     use std::collections::HashSet;
 
     fn small() -> ProteinWorkload {
@@ -213,7 +213,7 @@ mod tests {
         let w = small();
         let db = MemorySequences(w.standard.clone());
         for motif in &w.motifs {
-            let s = db_support(motif, &db);
+            let s = try_db_support(motif, &db).unwrap();
             assert!(
                 s >= 0.3,
                 "motif {motif} support {s} below planted occurrence"
@@ -228,8 +228,8 @@ mod tests {
         let std_db = MemorySequences(w.standard.clone());
         let noisy_db = MemorySequences(noisy);
         let longest = w.motifs.last().unwrap();
-        let s_std = db_support(longest, &std_db);
-        let s_noisy = db_support(longest, &noisy_db);
+        let s_std = try_db_support(longest, &std_db).unwrap();
+        let s_noisy = try_db_support(longest, &noisy_db).unwrap();
         assert!(
             s_noisy < s_std,
             "noise should conceal the long motif ({s_noisy} !< {s_std})"

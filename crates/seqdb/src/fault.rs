@@ -50,7 +50,7 @@ pub enum FaultPolicy {
     },
     /// Skip records that fail validation, resynchronize to the next intact
     /// record, and report only the surviving sequences via
-    /// [`SequenceScan::num_sequences`] — so `db_match` denominators are
+    /// [`SequenceScan::num_sequences`] — so `try_db_match` denominators are
     /// renormalized over the sequences actually visited (Definition 3.7
     /// over the surviving subset). Quarantined regions are listed by
     /// [`DiskDb::quarantined`]. Transient faults are still retried a fixed

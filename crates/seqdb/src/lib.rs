@@ -3,8 +3,10 @@
 //! The sequence-database substrate for the noisemine workspace: in-memory
 //! and disk-resident stores implementing the core crate's
 //! [`noisemine_core::matching::SequenceScan`] contract, with **scan
-//! accounting** — the paper's principal cost metric for disk-resident data —
-//! and the uniform samplers of Algorithm 4.1.
+//! accounting** — the paper's principal cost metric for disk-resident data.
+//! Algorithm 4.1's sampler runs inside the phase-1 scan
+//! (`noisemine_core::miner`), the streaming engine's reservoir inside
+//! `noisemine-stream`.
 //!
 //! The disk store is fault-tolerant: scans are fallible, records are
 //! checksummed (NMSEQDB format v2), and a [`FaultPolicy`] chooses between
@@ -19,14 +21,12 @@ pub mod index;
 pub mod memory;
 pub(crate) mod obs;
 mod pipeline;
-pub mod sampling;
 pub mod text;
 
 pub use disk::{DiskDb, DiskDbWriter, DiskError, DiskResult};
 pub use fault::{FaultPlan, FaultPolicy, FaultyStore, QuarantinedRecord};
 pub use index::{ensure_index, load_validated, sidecar_path, IndexBinding};
 pub use memory::MemoryDb;
-pub use sampling::{reservoir_sample, sequential_sample};
 pub use text::{
     infer_alphabet, read_sequences, read_sequences_file, write_sequences, write_sequences_file,
 };

@@ -66,8 +66,8 @@ pub fn classify_with(
     let matrix = &model.spec.matrix;
     let mut scratch = trie.simd_scratch();
     let mut out = vec![0.0f64; p];
-    // Block-ordered reduction: identical to try_db_match_many's
-    // try_scan_map_reduce over SCAN_BLOCK_SIZE-sequence blocks.
+    // Block-ordered reduction: identical to try_db_match_many's ordered
+    // fold of SCAN_BLOCK_SIZE-sequence block partials.
     for block in sequences.chunks(SCAN_BLOCK_SIZE) {
         let mut partial = vec![0.0f64; p];
         for seq in block {

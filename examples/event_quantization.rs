@@ -11,7 +11,7 @@
 //! cargo run --release --example event_quantization
 //! ```
 
-use noisemine::core::matching::{db_match, db_support, MemorySequences};
+use noisemine::core::matching::{try_db_match, try_db_support, MemorySequences};
 use noisemine::core::miner::{mine, MinerConfig};
 use noisemine::core::{Alphabet, Pattern, PatternSpace};
 use noisemine::datagen::noise::channel_to_compatibility;
@@ -60,8 +60,8 @@ fn main() {
         .expect("tridiagonal posterior has positive diagonals");
     let db = MemorySequences(observed);
 
-    let support = db_support(&signature, &db);
-    let match_value = db_match(&signature, &db, &norm);
+    let support = try_db_support(&signature, &db).expect("in-memory scan");
+    let match_value = try_db_match(&signature, &db, &norm).expect("in-memory scan");
     println!(
         "batch-job signature {} (8 levels):",
         signature.display(&alphabet).unwrap()
@@ -94,8 +94,8 @@ fn main() {
     println!(
         "\nramp-up prefix {} (support {:.3}, match {:.3}): {}",
         ramp.display(&alphabet).unwrap(),
-        db_support(&ramp, &db),
-        db_match(&ramp, &db, &norm),
+        try_db_support(&ramp, &db).expect("in-memory scan"),
+        try_db_match(&ramp, &db, &norm).expect("in-memory scan"),
         if found {
             "recovered despite boundary jitter"
         } else {

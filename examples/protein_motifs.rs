@@ -17,7 +17,7 @@
 
 use noisemine::baselines::mine_levelwise;
 use noisemine::core::matching::{
-    db_match, db_support, MatchMetric, MemorySequences, SupportMetric,
+    try_db_match, try_db_support, MatchMetric, MemorySequences, SupportMetric,
 };
 use noisemine::core::PatternSpace;
 use noisemine::datagen::{ProteinWorkload, ProteinWorkloadConfig};
@@ -57,8 +57,8 @@ fn main() {
     println!("\nper-motif support vs match in the mutated database (mu = {mu}):");
     println!("{:<14} {:>9} {:>9}", "motif", "support", "match");
     for motif in &workload.motifs {
-        let s = db_support(motif, &noisy_db);
-        let m = db_match(motif, &noisy_db, &norm);
+        let s = try_db_support(motif, &noisy_db).expect("in-memory scan");
+        let m = try_db_match(motif, &noisy_db, &norm).expect("in-memory scan");
         println!(
             "{:<14} {:>9.3} {:>9.3}",
             motif.display(alphabet).unwrap(),

@@ -11,7 +11,7 @@
 //! cargo run --release --example zinc_finger
 //! ```
 
-use noisemine::core::matching::{db_match, db_support, MemorySequences};
+use noisemine::core::matching::{try_db_match, try_db_support, MemorySequences};
 use noisemine::core::{Alphabet, Pattern, PatternSpace};
 use noisemine::datagen::noise::{apply_channel, channel_to_compatibility, partner_channel};
 use noisemine::datagen::{generate, Background, GeneratorConfig, PlantedMotif};
@@ -56,8 +56,8 @@ fn main() {
         .expect("positive diagonals");
     let noisy_db = MemorySequences(noisy);
 
-    let support = db_support(&signature, &noisy_db);
-    let match_value = db_match(&signature, &noisy_db, &norm);
+    let support = try_db_support(&signature, &noisy_db).expect("in-memory scan");
+    let match_value = try_db_match(&signature, &noisy_db, &norm).expect("in-memory scan");
     println!(
         "in the mutated database: support = {support:.3}, match = {match_value:.3} \
          (planted occurrence was 0.50)"
@@ -72,7 +72,7 @@ fn main() {
     // Demonstrate the Apriori chain the miner exploits: every subpattern of
     // the signature matches at least as strongly (Claim 3.1).
     let sub = Pattern::parse("C**C****H", &alphabet).unwrap();
-    let sub_match = db_match(&sub, &noisy_db, &norm);
+    let sub_match = try_db_match(&sub, &noisy_db, &norm).expect("in-memory scan");
     println!(
         "subpattern {} has match {sub_match:.3} >= {match_value:.3} (Apriori property)",
         sub.display(&alphabet).unwrap()

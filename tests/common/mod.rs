@@ -101,3 +101,20 @@ pub fn random_pattern(rng: &mut StdRng, m: usize) -> Pattern {
     elems[n - 1] = PatternElem::Sym(Symbol(rng.gen_range(0..m as u16)));
     Pattern::new(elems).expect("endpoints are concrete")
 }
+
+/// Pearson's chi-square statistic of per-sequence selection counts against
+/// the uniform expectation of a sampler that draws `quota` of `hits.len()`
+/// sequences in each of `trials` independent draws.
+///
+/// With 20 sequences there are 19 degrees of freedom; the 99.9th percentile
+/// is ~43.8. A uniform sampler exceeds 60 with negligible probability, and
+/// an off-by-one replacement index blows past it.
+pub fn selection_chi_square(hits: &[usize], trials: usize, quota: usize) -> f64 {
+    let expected = trials as f64 * quota as f64 / hits.len() as f64;
+    hits.iter()
+        .map(|&h| {
+            let d = h as f64 - expected;
+            d * d / expected
+        })
+        .sum()
+}

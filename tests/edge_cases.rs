@@ -6,7 +6,7 @@ use noisemine::core::border_collapse::levels_in_collapse_order;
 use noisemine::core::chernoff::{mislabel_tail, SpreadMode};
 use noisemine::core::lattice::halfway;
 use noisemine::core::matching::{
-    db_match, db_support, sequence_match, sequence_support, MemorySequences,
+    sequence_match, sequence_support, try_db_match, try_db_support, MemorySequences,
 };
 use noisemine::core::miner::{mine, MinerConfig, Provenance};
 use noisemine::core::{Alphabet, CompatibilityMatrix, Pattern, PatternSpace, Symbol};
@@ -61,7 +61,7 @@ fn gapped_support_counts_fixed_length_gaps_only() {
         alphabet.encode("d1 d9 d9 d2").unwrap(), // gap 2: does NOT match d1 * d2
     ]);
     let p = pat("d1 * d2");
-    assert!((db_support(&p, &db) - 0.5).abs() < 1e-12);
+    assert!((try_db_support(&p, &db).unwrap() - 0.5).abs() < 1e-12);
     assert_eq!(
         sequence_support(&p, &alphabet.encode("d1 d9 d9 d2").unwrap()),
         0.0
@@ -80,9 +80,9 @@ fn full_noise_uniform_matrix_is_valid_but_not_normalizable() {
     // "d0 d1" has match zero, while the flipped "d1 d0" has (1/3)^2.
     let db = MemorySequences(vec![vec![Symbol(1), Symbol(0)]]);
     let p = pat("d0 d1");
-    assert!((db_match(&p, &db, &c) - 1.0 / 9.0).abs() < 1e-12);
+    assert!((try_db_match(&p, &db, &c).unwrap() - 1.0 / 9.0).abs() < 1e-12);
     let exact = MemorySequences(vec![vec![Symbol(0), Symbol(1)]]);
-    assert_eq!(db_match(&p, &exact, &c), 0.0);
+    assert_eq!(try_db_match(&p, &exact, &c).unwrap(), 0.0);
 }
 
 #[test]

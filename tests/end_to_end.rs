@@ -8,7 +8,7 @@ use std::collections::HashSet;
 use noisemine::baselines::{mine_levelwise, mine_maxminer, mine_toivonen, MaxMinerConfig};
 use noisemine::core::border_collapse::ProbeStrategy;
 use noisemine::core::chernoff::SpreadMode;
-use noisemine::core::matching::{db_match, MatchMetric, MemorySequences, SequenceScan};
+use noisemine::core::matching::{try_db_match, MatchMetric, MemorySequences, SequenceScan};
 use noisemine::core::miner::{mine, MinerConfig};
 use noisemine::core::{CompatibilityMatrix, Pattern, PatternSpace};
 use noisemine::datagen::noise::{channel_to_compatibility, partner_channel};
@@ -182,8 +182,8 @@ fn disk_round_trip_preserves_match_values() {
     let path = std::env::temp_dir().join(format!("noisemine-rt-{}.db", std::process::id()));
     let disk = DiskDb::create_from(&path, noisy.iter().map(Vec::as_slice)).unwrap();
     assert_eq!(mem.num_sequences(), disk.num_sequences());
-    let m1 = db_match(&motif, &mem, &matrix);
-    let m2 = db_match(&motif, &disk, &matrix);
+    let m1 = try_db_match(&motif, &mem, &matrix).unwrap();
+    let m2 = try_db_match(&motif, &disk, &matrix).unwrap();
     assert!((m1 - m2).abs() < 1e-15);
     std::fs::remove_file(&path).unwrap();
 }

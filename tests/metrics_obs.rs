@@ -7,6 +7,7 @@
 use noisemine::core::border_collapse::ProbeStrategy;
 use noisemine::core::chernoff::SpreadMode;
 use noisemine::core::miner::{mine, MineOutcome, MinerConfig};
+use noisemine::core::parallel::SCAN_BLOCK_SIZE;
 use noisemine::core::{CompatibilityMatrix, Pattern, PatternSpace};
 use noisemine::datagen::noise::{channel_to_compatibility, partner_channel};
 use noisemine::datagen::{apply_channel, generate, Background, GeneratorConfig, PlantedMotif};
@@ -126,6 +127,17 @@ fn instrumentation_never_changes_output_and_counters_are_live() {
         seqs,
         400 * instrumented.stats.db_scans as u64,
         "scan volume disagrees with the miner's own scan statistics"
+    );
+    // Each database scan is ⌈400 / SCAN_BLOCK_SIZE⌉ blocks; phase 2's
+    // passes over the in-memory sample share the engine but are not
+    // database scans, so they leak into neither counter.
+    let blocks = snap
+        .counter_value("parallel_scan_blocks_total")
+        .expect("scan block counter registered");
+    assert_eq!(
+        blocks,
+        400u64.div_ceil(SCAN_BLOCK_SIZE as u64) * instrumented.stats.db_scans as u64,
+        "scan blocks disagree with the miner's own scan statistics"
     );
 
     // Snapshot rendering is deterministic and both formats carry the data.

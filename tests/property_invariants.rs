@@ -8,20 +8,25 @@
 //! - total noise (all entries `1/m`) ⇒ all k-patterns have equal match;
 //! - the restricted spread bounds every pattern's match (Claim 4.2);
 //! - halfway patterns lie between their endpoints (Algorithm 4.4);
-//! - sequential sampling returns exactly `min(n, N)` distinct sequences;
+//! - phase 1's sampler returns exactly `min(n, N)` distinct sequences, and
+//!   selects each uniformly (chi-square, also on under-reported counts);
 //! - the parallel block scan is bit-identical to the serial one at every
 //!   thread count, and stream ingestion reproduces batch phase 1 exactly.
 
 mod common;
 
-use common::{random_matrix, random_pattern, random_sequence, random_sequences, run_cases};
+use common::{
+    random_matrix, random_pattern, random_sequence, random_sequences, run_cases,
+    selection_chi_square,
+};
 use noisemine::core::chernoff::restricted_spread;
 use noisemine::core::matching::{
-    db_match, db_support, sequence_match, symbol_db_match, MemorySequences,
+    sequence_match, try_db_match, try_db_support, try_symbol_db_match, MemorySequences,
+    SequenceScan,
 };
 use noisemine::core::miner::{mine, try_phase1_threads_indexed, MinerConfig};
 use noisemine::core::{CompatibilityMatrix, Pattern, PatternSpace, Symbol};
-use noisemine::seqdb::{sequential_sample, MemoryDb};
+use noisemine::seqdb::MemoryDb;
 use noisemine::stream::StreamState;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -55,9 +60,9 @@ fn apriori_on_databases() {
         let pattern = random_pattern(rng, M);
         let db = MemorySequences(random_sequences(rng, M, 15, 1, 12));
         let matrix = random_matrix(rng, M, 0.01);
-        let sup = db_match(&pattern, &db, &matrix);
+        let sup = try_db_match(&pattern, &db, &matrix).unwrap();
         for sub in pattern.immediate_subpatterns() {
-            assert!(db_match(&sub, &db, &matrix) >= sup - 1e-12);
+            assert!(try_db_match(&sub, &db, &matrix).unwrap() >= sup - 1e-12);
         }
     });
 }
@@ -69,8 +74,8 @@ fn identity_matrix_means_support() {
         let pattern = random_pattern(rng, M);
         let db = MemorySequences(random_sequences(rng, M, 15, 1, 12));
         let id = CompatibilityMatrix::identity(M);
-        let m = db_match(&pattern, &db, &id);
-        let s = db_support(&pattern, &db);
+        let m = try_db_match(&pattern, &db, &id).unwrap();
+        let s = try_db_support(&pattern, &db).unwrap();
         assert!((m - s).abs() < 1e-12, "match {m} != support {s}");
     });
 }
@@ -86,7 +91,10 @@ fn total_noise_flattens_all_patterns() {
         let flat = CompatibilityMatrix::total_noise(M);
         let p1 = Pattern::contiguous(&[Symbol(a), Symbol(b)]).unwrap();
         let p2 = Pattern::contiguous(&[Symbol(c), Symbol(d)]).unwrap();
-        assert!((db_match(&p1, &db, &flat) - db_match(&p2, &db, &flat)).abs() < 1e-12);
+        assert!(
+            (try_db_match(&p1, &db, &flat).unwrap() - try_db_match(&p2, &db, &flat).unwrap()).abs()
+                < 1e-12
+        );
     });
 }
 
@@ -98,9 +106,9 @@ fn restricted_spread_bounds_match() {
         let pattern = random_pattern(rng, M);
         let db = MemorySequences(random_sequences(rng, M, 15, 1, 12));
         let matrix = random_matrix(rng, M, 0.01);
-        let symbol_match = symbol_db_match(&db, &matrix);
+        let symbol_match = try_symbol_db_match(&db, &matrix).unwrap();
         let spread = restricted_spread(&pattern, &symbol_match);
-        let value = db_match(&pattern, &db, &matrix);
+        let value = try_db_match(&pattern, &db, &matrix).unwrap();
         assert!(
             value <= spread + 1e-12,
             "match {value} exceeds restricted spread {spread} for {pattern}"
@@ -144,19 +152,85 @@ fn halfway_patterns_are_between() {
     });
 }
 
-/// Sequential sampling returns exactly `min(n, N)` sequences, in scan
-/// order, without duplication of positions.
+/// Phase 1's sequential sampling returns exactly `min(n, N)` sequences, in
+/// scan order, without duplication of positions.
 #[test]
 fn sequential_sampling_quota() {
+    let matrix = CompatibilityMatrix::identity(M);
     run_cases(CASES, |rng| {
         let n = rng.gen_range(0..40usize);
         let count = rng.gen_range(1..30usize);
-        let db = MemoryDb::from_sequences(
-            (0..count).map(|i| vec![Symbol((i % M) as u16), Symbol(((i / M) % M) as u16)]),
+        // Distinct sequences, so each sampled one names its position.
+        let seqs: Vec<Vec<Symbol>> = (0..count)
+            .map(|i| vec![Symbol((i % M) as u16), Symbol(((i / M) % M) as u16)])
+            .collect();
+        let db = MemoryDb::from_sequences(seqs.clone());
+        let (p1, _) = try_phase1_threads_indexed(&db, &matrix, n, rng, 1, false).unwrap();
+        assert_eq!(p1.sample.len(), n.min(count));
+        let positions: Vec<usize> = p1
+            .sample
+            .iter()
+            .map(|s| seqs.iter().position(|t| t == s).unwrap())
+            .collect();
+        assert!(
+            positions.windows(2).all(|w| w[0] < w[1]),
+            "not in scan order or duplicated: {positions:?}"
         );
-        let sample = sequential_sample(&db, n, rng);
-        assert_eq!(sample.len(), n.min(count));
     });
+}
+
+/// A store that reports `reported` sequences but scans all of `inner` — the
+/// shape of a database appended to during the scan.
+struct UnderReporting {
+    inner: MemorySequences,
+    reported: usize,
+}
+
+impl SequenceScan for UnderReporting {
+    fn num_sequences(&self) -> usize {
+        self.reported
+    }
+    fn scan(&self, visit: &mut dyn FnMut(u64, &[Symbol])) {
+        self.inner.scan(visit)
+    }
+}
+
+/// Claim 4.1 assumes a uniform sample: phase 1's sampler, drawing 10 of 20
+/// sequences many times, selects each sequence within a generous
+/// chi-square bound of the uniform expectation. Covers sequential sampling
+/// on an honest count and the reservoir fallback on under-reported counts
+/// (down to zero, which is pure Algorithm R), where an off-by-one
+/// replacement index would bias the later sequences.
+#[test]
+fn phase1_sample_is_uniform_chi_square() {
+    let count = 20usize;
+    let quota = 10usize;
+    let trials = 4000usize;
+    let matrix = CompatibilityMatrix::identity(count);
+    let inner = MemorySequences((0..count).map(|i| vec![Symbol(i as u16)]).collect());
+    for reported in [count, 12, 0] {
+        let db = UnderReporting {
+            inner: inner.clone(),
+            reported,
+        };
+        for seed in [3u64, 1031, 777_777] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut hits = vec![0usize; count];
+            for _ in 0..trials {
+                let (p1, _) =
+                    try_phase1_threads_indexed(&db, &matrix, quota, &mut rng, 1, false).unwrap();
+                assert_eq!(p1.sample.len(), quota);
+                for seq in &p1.sample {
+                    hits[seq[0].0 as usize] += 1;
+                }
+            }
+            let chi2 = selection_chi_square(&hits, trials, quota);
+            assert!(
+                chi2 < 60.0,
+                "chi-square {chi2:.1} for reported {reported}, seed {seed}: {hits:?}"
+            );
+        }
+    }
 }
 
 /// The determinism contract of the parallel scan: phase 1 — symbol matches

@@ -14,7 +14,7 @@ use noisemine::baselines::{
 };
 use noisemine::core::border_collapse::{try_collapse_with_known_kernel_indexed, ProbeStrategy};
 use noisemine::core::lattice::AmbiguousSpace;
-use noisemine::core::matching::{db_match, MatchMetric};
+use noisemine::core::matching::{try_db_match, MatchMetric};
 use noisemine::core::miner::{mine, MinerConfig};
 use noisemine::core::{MatchKernel, Pattern, PatternSpace, Symbol};
 use noisemine::seqdb::MemoryDb;
@@ -175,7 +175,7 @@ fn collapse_is_exact_for_any_budget() {
         )
         .unwrap();
         for p in &patterns {
-            let exact = db_match(p, &db, &matrix);
+            let exact = try_db_match(p, &db, &matrix).unwrap();
             let frequent = result.frequent.iter().any(|r| &r.pattern == p);
             let infrequent = result.infrequent.iter().any(|r| &r.pattern == p);
             assert!(

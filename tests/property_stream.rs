@@ -1,61 +1,76 @@
-//! Property tests for the streaming layer: reservoir sampling statistics
-//! and checkpoint→restore state equality on random workloads.
+//! Property tests for the streaming layer: the engine's reservoir sampling
+//! statistics and checkpoint→restore state equality on random workloads.
 
 mod common;
 
-use common::{random_matrix, random_sequences, run_cases};
-use noisemine::core::miner::MinerConfig;
-use noisemine::core::{PatternSpace, Symbol};
-use noisemine::seqdb::{reservoir_sample, MemoryDb};
+use common::{random_matrix, random_sequences, run_cases, selection_chi_square};
+use noisemine::core::miner::{try_phase1_threads_indexed, MinerConfig};
+use noisemine::core::{CompatibilityMatrix, PatternSpace, Symbol};
+use noisemine::seqdb::MemoryDb;
 use noisemine::stream::StreamState;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const M: usize = 5;
 
-/// Reservoir sampling returns exactly `min(n, N)` sequences for arbitrary
-/// quota/database-size combinations, including n = 0 and n >= N.
+/// The streaming engine's reservoir (and phase 1's sampler, which the
+/// batch miner runs) holds exactly `min(n, N)` sequences for arbitrary
+/// quota/database-size combinations, including n >= N. A zero quota is a
+/// configuration error for the engine and an empty sample for phase 1.
 #[test]
 fn reservoir_sample_size_is_exact() {
+    let matrix = CompatibilityMatrix::identity(M);
     run_cases(128, |rng| {
         let count = rng.gen_range(0..40usize);
         let n = rng.gen_range(0..50usize);
-        let db = MemoryDb::from_sequences((0..count).map(|i| vec![Symbol((i % M) as u16)]));
-        let sample = reservoir_sample(&db, n, rng);
-        assert_eq!(sample.len(), n.min(count));
+        let seqs: Vec<Vec<Symbol>> = (0..count).map(|i| vec![Symbol((i % M) as u16)]).collect();
+        let config = MinerConfig {
+            sample_size: n,
+            seed: rng.gen(),
+            ..MinerConfig::default()
+        };
+        match StreamState::new(matrix.clone(), config) {
+            Ok(mut state) => {
+                state.ingest_all(&seqs);
+                assert_eq!(state.sample().len(), n.min(count));
+            }
+            Err(_) => assert_eq!(n, 0, "only a zero quota is rejected"),
+        }
+        let db = MemoryDb::from_sequences(seqs);
+        let (p1, _) = try_phase1_threads_indexed(&db, &matrix, n, rng, 1, false).unwrap();
+        assert_eq!(p1.sample.len(), n.min(count));
     });
 }
 
-/// Chi-square uniformity smoke test: sampling 10 of 20 sequences many
-/// times, each sequence's selection count must stay within a generous
-/// chi-square bound of the uniform expectation (Algorithm R is exactly
-/// uniform; this guards against off-by-one bias in the replacement index).
+/// Chi-square uniformity smoke test of the streaming engine's Algorithm R:
+/// sampling 10 of 20 sequences many times, each sequence's selection count
+/// must stay within a generous chi-square bound of the uniform expectation
+/// (Algorithm R is exactly uniform; this guards against off-by-one bias in
+/// the replacement index).
 #[test]
 fn reservoir_selection_is_uniform_chi_square() {
     let count = 20usize;
     let quota = 10usize;
     let trials = 4000usize;
+    let matrix = CompatibilityMatrix::identity(count);
+    let seqs: Vec<Vec<Symbol>> = (0..count).map(|i| vec![Symbol(i as u16)]).collect();
     for seed in [3u64, 1031, 777_777] {
-        let db = MemoryDb::from_sequences((0..count).map(|i| vec![Symbol(i as u16)]));
         let mut rng = StdRng::seed_from_u64(seed);
         let mut hits = vec![0usize; count];
         for _ in 0..trials {
-            for seq in reservoir_sample(&db, quota, &mut rng) {
+            let config = MinerConfig {
+                sample_size: quota,
+                seed: rng.gen(),
+                ..MinerConfig::default()
+            };
+            let mut state = StreamState::new(matrix.clone(), config).unwrap();
+            state.ingest_all(&seqs);
+            for seq in state.sample() {
                 hits[seq[0].0 as usize] += 1;
             }
         }
         // Each sequence is selected with probability quota/count = 1/2.
-        let expected = trials as f64 * quota as f64 / count as f64;
-        let chi2: f64 = hits
-            .iter()
-            .map(|&h| {
-                let d = h as f64 - expected;
-                d * d / expected
-            })
-            .sum();
-        // 19 degrees of freedom; the 99.9th percentile is ~43.8. A correct
-        // sampler exceeds 60 with negligible probability, a biased one
-        // blows past it immediately.
+        let chi2 = selection_chi_square(&hits, trials, quota);
         assert!(
             chi2 < 60.0,
             "chi-square {chi2:.1} for seed {seed}: {hits:?}"
